@@ -72,12 +72,9 @@ fn roster() -> Vec<(&'static str, DefensePlan)> {
 /// line per defense: accuracy, decode MAPE and recovered-image count.
 fn sweep(trained: &mut TrainedAttack, extra: impl Fn(&TrainedAttack) -> String) {
     for (name, plan) in roster() {
+        // Defend in place, so channel-specific extras can probe the
+        // defended weights before the float state comes back.
         let report = trained
-            .evaluate_defended(None, &plan, name.to_string())
-            .expect("defended evaluation failed");
-        // `evaluate_defended` restores the float state afterwards; re-apply
-        // the defense so channel-specific extras can probe the weights.
-        trained
             .defend_in_place(&plan, name.to_string())
             .expect("defense application failed");
         let probe = extra(trained);

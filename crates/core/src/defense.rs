@@ -1,108 +1,16 @@
-//! Active defenses a data holder can apply to a model *before* releasing
-//! it — the constructive follow-up the paper's conclusion calls for.
-//!
-//! The countermeasures themselves now live in the [`qce_defense`] crate
-//! as composable, seeded [`DefensePlan`]s (rotation/permutation of hidden
-//! channels, defensive fine-tuning, magnitude pruning, defender
-//! re-quantization, weight noise); this module re-exports them and keeps
-//! thin deprecated wrappers for the two original free functions.
-//!
-//! **Measured picture** (see the tournament conformance suite under
-//! `conformance/tournament/` and the `defenses` bench): against the
-//! *correlation* attack, noise and defender re-quantization under-deliver
-//! — perturbation strong enough to damage the encoding destroys task
-//! accuracy first. The *rotation* family is different: a compensated
-//! hidden-channel permutation is exactly accuracy-preserving and scrambles
-//! the correlation channel's weight order, driving recovery to zero — but
-//! the hardened statistics-sign channel
-//! ([`qce_attack::statsign`]) survives it by construction. The arms race
-//! is measured, not asserted: the tournament goldens pin per-cell recovery
-//! for every (attack variant × defense × bit width) combination, and
-//! *detection* ([`audit`](crate::audit)) plus reviewing third-party
-//! training code remain the defenses that do not trade accuracy at all.
+//! End-to-end checks of `qce-defense` countermeasures on a trained
+//! attack: what a data holder's noise or re-quantization does to the
+//! provider's decoding, measured on real encoded weights rather than on
+//! the synthetic networks of the `qce-defense` unit tests.
 
-use qce_nn::Network;
-use qce_quant::{quantize_network, KMeansQuantizer, QuantizedNetwork};
-
-use crate::{FlowError, Result};
-
-pub use qce_defense::{
-    Defense, DefenseContext, DefenseError, DefenseKind, DefensePlan, RotationMode,
-};
-
-/// Adds zero-mean Gaussian noise to every `Weight`-kind tensor, with the
-/// noise standard deviation set to `fraction` of the tensor's own weight
-/// standard deviation.
-///
-/// # Errors
-///
-/// Returns [`FlowError::InvalidConfig`] for a negative `fraction`.
-///
-/// # Examples
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use qce::defense::noise_weights;
-/// use qce_nn::models::ResNetLite;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut net = ResNetLite::builder()
-///     .input(1, 8).classes(2).stage_channels(&[4]).blocks_per_stage(1)
-///     .build(1)?;
-/// let before = net.flat_weights();
-/// noise_weights(&mut net, 0.1, 7)?;
-/// assert_ne!(net.flat_weights(), before);
-/// # Ok(())
-/// # }
-/// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "use qce_defense::DefensePlan::new(seed).with(DefenseKind::NoiseWeights { fraction })"
-)]
-pub fn noise_weights(net: &mut Network, fraction: f32, seed: u64) -> Result<()> {
-    if fraction < 0.0 {
-        return Err(FlowError::InvalidConfig {
-            reason: format!("noise fraction {fraction} must be non-negative"),
-        });
-    }
-    DefensePlan::new(seed)
-        .with(DefenseKind::NoiseWeights { fraction })
-        .apply(net, &DefenseContext::empty())?;
-    Ok(())
-}
-
-/// Re-quantizes the released weights with a defender-chosen k-means
-/// codebook at `bits` (levels = `2^bits`), returning the quantization
-/// handle (useful for size accounting).
-///
-/// # Errors
-///
-/// Returns [`FlowError::InvalidConfig`] for `bits` outside `1..=16`, or
-/// propagates quantization errors.
-#[deprecated(
-    since = "0.1.0",
-    note = "use qce_defense::DefenseKind::Requantize { bits } in a DefensePlan \
-            (this wrapper additionally returns the quantization handle)"
-)]
-pub fn requantize(net: &mut Network, bits: u32) -> Result<QuantizedNetwork> {
-    if bits == 0 || bits > 16 {
-        return Err(FlowError::InvalidConfig {
-            reason: format!("requantize bits {bits} outside 1..=16"),
-        });
-    }
-    let q = KMeansQuantizer::new(1usize << bits)?;
-    Ok(quantize_network(net, &q)?)
-}
-
-#[cfg(test)]
-#[allow(deprecated)]
 mod tests {
-    use super::*;
-    use crate::{AttackFlow, BandRule, FlowConfig, Grouping};
-    use qce_data::SynthCifar;
+    use crate::{AttackFlow, BandRule, FlowConfig, Grouping, TrainedAttack};
+    use qce_data::{Image, SynthCifar};
+    use qce_defense::{DefenseContext, DefenseKind, DefensePlan};
     use qce_metrics::mape;
+    use qce_nn::Network;
 
-    fn attacked() -> (crate::TrainedAttack, Vec<qce_data::Image>) {
+    fn attacked() -> (TrainedAttack, Vec<Image>) {
         let dataset = SynthCifar::new(8).classes(4).generate(160, 81).unwrap();
         let trained = AttackFlow::new(FlowConfig {
             grouping: Grouping::Uniform(8.0),
@@ -116,7 +24,7 @@ mod tests {
         (trained, targets)
     }
 
-    fn mean_mape(t: &crate::TrainedAttack, targets: &[qce_data::Image]) -> f32 {
+    fn mean_mape(t: &TrainedAttack, targets: &[Image]) -> f32 {
         let decoded = t.decode_images().unwrap();
         decoded
             .iter()
@@ -125,14 +33,24 @@ mod tests {
             / decoded.len() as f32
     }
 
+    fn defend(net: &mut Network, kind: DefenseKind, seed: u64) -> qce_defense::Result<()> {
+        DefensePlan::new(seed)
+            .with(kind)
+            .apply(net, &DefenseContext::empty())
+    }
+
+    fn noise(fraction: f32) -> DefenseKind {
+        DefenseKind::NoiseWeights { fraction }
+    }
+
     #[test]
     fn noise_degrades_decoding_monotonically() {
         let (mut trained, targets) = attacked();
         let clean = mean_mape(&trained, &targets);
-        noise_weights(trained.network_mut(), 0.2, 1).unwrap();
+        defend(trained.network_mut(), noise(0.2), 1).unwrap();
         let light = mean_mape(&trained, &targets);
         trained.restore_float().unwrap();
-        noise_weights(trained.network_mut(), 1.0, 1).unwrap();
+        defend(trained.network_mut(), noise(1.0), 1).unwrap();
         let heavy = mean_mape(&trained, &targets);
         assert!(clean < light, "{clean} !< {light}");
         assert!(light < heavy, "{light} !< {heavy}");
@@ -142,45 +60,51 @@ mod tests {
     fn zero_noise_is_identity_and_negative_rejected() {
         let (mut trained, _) = attacked();
         let before = trained.network().flat_weights();
-        noise_weights(trained.network_mut(), 0.0, 1).unwrap();
+        defend(trained.network_mut(), noise(0.0), 1).unwrap();
         assert_eq!(trained.network().flat_weights(), before);
-        assert!(noise_weights(trained.network_mut(), -0.5, 1).is_err());
+        assert!(defend(trained.network_mut(), noise(-0.5), 1).is_err());
     }
 
     #[test]
     fn requantize_produces_coarse_weights() {
         let (mut trained, targets) = attacked();
         let clean = mean_mape(&trained, &targets);
-        let q = requantize(trained.network_mut(), 3).unwrap();
-        assert_eq!(q.requested_levels(), 8);
+        defend(
+            trained.network_mut(),
+            DefenseKind::Requantize { bits: 3 },
+            0,
+        )
+        .unwrap();
+        let flat = trained.network().flat_weights();
+        for slot in trained.network().weight_slots() {
+            let mut levels: Vec<u32> = flat[slot.offset..slot.offset + slot.len]
+                .iter()
+                .map(|w| w.to_bits())
+                .collect();
+            levels.sort_unstable();
+            levels.dedup();
+            assert!(
+                levels.len() <= 8,
+                "slot {} has {} levels",
+                slot.ordinal,
+                levels.len()
+            );
+        }
         let after = mean_mape(&trained, &targets);
         // Defender quantization (ignorant of the pixel histogram) hurts
         // the decoding more than it would a benign deployment.
         assert!(after > clean, "{clean} !< {after}");
-        assert!(requantize(trained.network_mut(), 0).is_err());
-        assert!(requantize(trained.network_mut(), 17).is_err());
+        for bits in [0, 17] {
+            assert!(defend(trained.network_mut(), DefenseKind::Requantize { bits }, 0).is_err());
+        }
     }
 
     #[test]
     fn noise_is_deterministic_per_seed() {
         let (mut a, _) = attacked();
         let (mut b, _) = attacked();
-        noise_weights(a.network_mut(), 0.1, 9).unwrap();
-        noise_weights(b.network_mut(), 0.1, 9).unwrap();
-        assert_eq!(a.network().flat_weights(), b.network().flat_weights());
-    }
-
-    #[test]
-    fn wrapper_matches_the_plan_path() {
-        // The deprecated free function and the DefensePlan route must be
-        // bit-identical: same seed, same draws, same weights.
-        let (mut a, _) = attacked();
-        let (mut b, _) = attacked();
-        noise_weights(a.network_mut(), 0.1, 9).unwrap();
-        DefensePlan::new(9)
-            .with(DefenseKind::NoiseWeights { fraction: 0.1 })
-            .apply(b.network_mut(), &DefenseContext::empty())
-            .unwrap();
+        defend(a.network_mut(), noise(0.1), 9).unwrap();
+        defend(b.network_mut(), noise(0.1), 9).unwrap();
         assert_eq!(a.network().flat_weights(), b.network().flat_weights());
     }
 }

@@ -87,6 +87,19 @@ pub struct QuantizedRelease {
     pub compression_ratio: f64,
 }
 
+/// One perturbation arm of a release probe: what
+/// [`TrainedAttack::evaluate_arm`] does to the would-be release before
+/// measuring it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Perturbation {
+    /// An accidental fault (bit rot, noise, pruning, …), applied to the
+    /// packed index stream of a quantized release or to the float
+    /// weights otherwise.
+    Fault(FaultPlan),
+    /// A data holder's countermeasure, applied to the released weights.
+    Defense(DefensePlan),
+}
+
 /// Everything a full flow run produces.
 #[derive(Debug)]
 pub struct FlowOutcome {
@@ -558,91 +571,44 @@ impl TrainedAttack {
         Ok(qnet.compression_ratio())
     }
 
-    /// Evaluates a *faulted* release: restores the float state, optionally
-    /// quantizes with `qcfg`, applies `plan` to whatever is being released
-    /// (the packed index stream for quantized releases, raw weights
-    /// otherwise), then measures task accuracy and resilient extraction
-    /// quality. The float state is restored before returning.
+    /// Evaluates one perturbation arm of a would-be release: restores
+    /// the float state, quantizes with `qcfg` when given, applies `arm`,
+    /// and measures task accuracy plus resilient extraction quality.
+    ///
+    /// A [`Perturbation::Fault`] hits the packed index stream of a
+    /// quantized release and the float weights otherwise. A
+    /// [`Perturbation::Defense`] goes through
+    /// [`TrainedAttack::defend_in_place`], so it records the defend
+    /// stage. The float state is restored before returning, on success
+    /// and on error, so one trained model serves any number of arms.
     ///
     /// # Errors
     ///
-    /// Propagates quantization, fault-application or evaluation errors.
-    pub fn evaluate_faulted(
+    /// Propagates quantization, perturbation or evaluation errors.
+    pub fn evaluate_arm(
         &mut self,
         qcfg: Option<QuantConfig>,
-        plan: &FaultPlan,
+        arm: &Perturbation,
         label: String,
     ) -> Result<FaultedReport> {
-        let result = self.evaluate_faulted_inner(qcfg, plan, label);
+        let result = self.restore_float().and_then(|()| {
+            let mut qnet = match qcfg {
+                Some(qcfg) => Some(self.quantize_in_place(qcfg)?.1),
+                None => None,
+            };
+            match arm {
+                Perturbation::Fault(plan) => {
+                    match qnet.as_mut() {
+                        Some(qnet) => plan.apply_to_quantized(qnet, &mut self.network)?,
+                        None => plan.apply_to_network(&mut self.network)?,
+                    }
+                    self.resilient_report(label)
+                }
+                Perturbation::Defense(plan) => self.defend_in_place(plan, label),
+            }
+        });
         self.restore_float()?;
         result
-    }
-
-    /// [`TrainedAttack::evaluate_faulted`] through `cache` when one is
-    /// attached. The fault plan and the applied quantizer are *not* part
-    /// of the flow configuration, so the key hash extends `cache_hash`
-    /// over both — two sweep cells probing different plans (or bit
-    /// widths) over the same trained model never collide on a cache
-    /// entry. The float state is restored before returning either way.
-    ///
-    /// # Errors
-    ///
-    /// Propagates quantization, fault-application or evaluation errors.
-    pub fn evaluate_faulted_cached(
-        &mut self,
-        qcfg: Option<QuantConfig>,
-        plan: &FaultPlan,
-        label: String,
-        cache: Option<&StageCache>,
-        cache_hash: u64,
-        level: qce_telemetry::Level,
-    ) -> Result<FaultedReport> {
-        let Some(cache) = cache else {
-            return self.evaluate_faulted(qcfg, plan, label);
-        };
-        let hash = store_io::fault_cache_hash(cache_hash, qcfg, plan);
-        let key = CacheKey::new(hash, self.config.seed, "faulted");
-        if let Some(artifact) = cache.load(&key) {
-            let decoded = artifact
-                .require(store_io::FAULTED_REPORT)
-                .and_then(store_io::faulted_from_bytes);
-            match decoded {
-                Ok(report) if report.label == label => {
-                    log_cache_hit(level, &key.stage);
-                    return Ok(report);
-                }
-                Ok(report) => note_payload_corrupt(
-                    &key.stage,
-                    &format!("label mismatch: stored {:?}", report.label),
-                ),
-                Err(e) => note_payload_corrupt(&key.stage, &e),
-            }
-        }
-        let report = self.evaluate_faulted(qcfg, plan, label)?;
-        let mut artifact = Artifact::new();
-        artifact.push(
-            store_io::FAULTED_REPORT,
-            store_io::faulted_to_bytes(&report),
-        );
-        store_stage(cache, &key, &artifact);
-        Ok(report)
-    }
-
-    fn evaluate_faulted_inner(
-        &mut self,
-        qcfg: Option<QuantConfig>,
-        plan: &FaultPlan,
-        label: String,
-    ) -> Result<FaultedReport> {
-        self.restore_float()?;
-        match qcfg {
-            Some(qcfg) => {
-                let (_, mut qnet) = self.quantize_in_place(qcfg)?;
-                plan.apply_to_quantized(&mut qnet, &mut self.network)?;
-            }
-            None => plan.apply_to_network(&mut self.network)?,
-        }
-        self.resilient_report(label)
     }
 
     /// Resiliently decodes the network's *current* weights through
@@ -696,7 +662,7 @@ impl TrainedAttack {
     /// Applies `plan` to the network's *current* (released) state and
     /// evaluates the defended release. Leaves the network defended — this
     /// is the data holder's release path, not a what-if probe; use
-    /// [`TrainedAttack::evaluate_defended`] for repeatable sweeps.
+    /// [`TrainedAttack::evaluate_arm`] for repeatable sweeps.
     ///
     /// # Errors
     ///
@@ -723,39 +689,6 @@ impl TrainedAttack {
             metrics,
         });
         Ok(report)
-    }
-
-    /// Evaluates a *defended* release: restores the float state,
-    /// optionally quantizes with `qcfg`, applies `plan` to the would-be
-    /// release, and measures task accuracy plus resilient extraction
-    /// quality. The float state is restored before returning, so defense
-    /// sweeps can reuse one trained model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates quantization, defense-application or evaluation errors.
-    pub fn evaluate_defended(
-        &mut self,
-        qcfg: Option<QuantConfig>,
-        plan: &DefensePlan,
-        label: String,
-    ) -> Result<FaultedReport> {
-        let result = self.evaluate_defended_inner(qcfg, plan, label);
-        self.restore_float()?;
-        result
-    }
-
-    fn evaluate_defended_inner(
-        &mut self,
-        qcfg: Option<QuantConfig>,
-        plan: &DefensePlan,
-        label: String,
-    ) -> Result<FaultedReport> {
-        self.restore_float()?;
-        if let Some(qcfg) = qcfg {
-            self.quantize_in_place(qcfg)?;
-        }
-        self.defend_in_place(plan, label)
     }
 
     /// Runs the defense stage through the cache when one is attached: a
@@ -825,7 +758,7 @@ impl TrainedAttack {
     }
 
     /// Sweeps `plan` over severity factors (each point evaluates
-    /// [`TrainedAttack::evaluate_faulted`] on `plan.scaled(severity)`) —
+    /// [`TrainedAttack::evaluate_arm`] on `plan.scaled(severity)`) —
     /// the raw material of the robustness tables. Pass severities in
     /// ascending order if you intend to check monotonicity.
     ///
@@ -840,8 +773,8 @@ impl TrainedAttack {
     ) -> Result<RobustnessReport> {
         let mut points = Vec::with_capacity(severities.len());
         for &severity in severities {
-            let scaled = plan.scaled(severity);
-            let rep = self.evaluate_faulted(qcfg, &scaled, format!("severity {severity}"))?;
+            let arm = Perturbation::Fault(plan.scaled(severity));
+            let rep = self.evaluate_arm(qcfg, &arm, format!("severity {severity}"))?;
             points.push(RobustnessPoint {
                 severity,
                 accuracy: rep.accuracy,
@@ -1287,7 +1220,7 @@ mod tests {
             mode: RotationMode::Permute,
         });
         let rep = trained
-            .evaluate_defended(None, &plan, "rotated".to_string())
+            .evaluate_arm(None, &Perturbation::Defense(plan), "rotated".to_string())
             .unwrap();
         assert!(!rep.images.is_empty());
         assert!(

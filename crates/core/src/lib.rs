@@ -53,6 +53,8 @@
 #![deny(missing_docs)]
 
 mod config;
+#[cfg(test)]
+mod defense;
 mod error;
 mod flow;
 mod report;
@@ -60,7 +62,6 @@ mod step;
 mod store_io;
 
 pub mod audit;
-pub mod defense;
 pub mod faults;
 
 pub use config::{
@@ -69,7 +70,7 @@ pub use config::{
 };
 pub use error::FlowError;
 pub use faults::{FaultError, FaultKind, FaultPlan};
-pub use flow::{AttackFlow, FlowOutcome, QuantizedRelease, TrainedAttack};
+pub use flow::{AttackFlow, FlowOutcome, Perturbation, QuantizedRelease, TrainedAttack};
 pub use qce_attack::correlation::SignConvention;
 pub use qce_attack::ImageStatus;
 pub use report::{

@@ -242,16 +242,6 @@ impl FlowMachine {
         &self.config
     }
 
-    /// The stage-cache key hash derived from the configuration and the
-    /// dataset — the `config_hash` component of every [`CacheKey`] this
-    /// machine reads or writes. Callers that evaluate derived artifacts
-    /// through the same cache (e.g. a fault-injected release) fold their
-    /// extra axes into this value.
-    #[must_use]
-    pub fn cache_hash(&self) -> u64 {
-        self.cache_hash
-    }
-
     /// Executes the current step and moves to the next one.
     ///
     /// With a stage cache attached, the completed step's checkpoint is

@@ -55,20 +55,6 @@ pub(crate) fn flow_cache_hash(config: &FlowConfig, dataset: &Dataset) -> u64 {
     h
 }
 
-/// Extends a flow cache hash over a fault-evaluation's extra inputs: the
-/// quantizer actually applied and the fault plan. Neither lives in
-/// [`FlowConfig`], so without this fold two sweep cells probing different
-/// plans (or bit widths) over the same trained model would collide on one
-/// cache entry and the second cell would read the first cell's report.
-pub(crate) fn fault_cache_hash(
-    cache_hash: u64,
-    qcfg: Option<crate::QuantConfig>,
-    plan: &crate::FaultPlan,
-) -> u64 {
-    let h = fnv1a_extend(cache_hash, format!("{qcfg:?}").as_bytes());
-    fnv1a_extend(h, format!("{plan:?}").as_bytes())
-}
-
 /// Serializes a [`StageReport`] — including the observational `wall_ms`
 /// and `metrics` fields, so a cache-loaded report still renders sensible
 /// manifest stage stats.
@@ -380,23 +366,5 @@ mod tests {
             flow_cache_hash(&warmup, &data),
             flow_cache_hash(&constant, &data)
         );
-    }
-
-    // Regression: fault plans and the applied quantizer live outside
-    // FlowConfig, so the faulted-evaluation key must fold them in — two
-    // distinct cells never collide on a cache entry.
-    #[test]
-    fn fault_cache_hash_separates_plans_and_quantizers() {
-        use crate::{FaultKind, FaultPlan, QuantConfig, QuantMethod};
-        let plan_a = FaultPlan::new(3).with(FaultKind::BitFlip { rate: 0.001 });
-        let plan_b = FaultPlan::new(3).with(FaultKind::BitFlip { rate: 0.002 });
-        let q4 = Some(QuantConfig::new(QuantMethod::TargetCorrelated, 4));
-        let q8 = Some(QuantConfig::new(QuantMethod::TargetCorrelated, 8));
-        let base = fault_cache_hash(7, q4, &plan_a);
-        assert_eq!(base, fault_cache_hash(7, q4, &plan_a));
-        assert_ne!(base, fault_cache_hash(7, q4, &plan_b));
-        assert_ne!(base, fault_cache_hash(7, q8, &plan_a));
-        assert_ne!(base, fault_cache_hash(7, None, &plan_a));
-        assert_ne!(base, fault_cache_hash(8, q4, &plan_a));
     }
 }

@@ -278,7 +278,7 @@ impl Defense for Requantize {
 }
 
 /// Zero-mean Gaussian noise with σ = `fraction` of each tensor's own
-/// weight standard deviation (migrated from `qce::defense::noise_weights`).
+/// weight standard deviation.
 #[derive(Debug, Clone, Copy)]
 pub struct NoiseWeights {
     /// Noise σ as a fraction of the per-tensor weight σ.
@@ -455,6 +455,13 @@ mod tests {
     #[test]
     fn requantize_coarsens_each_tensor() {
         let mut n = net(8);
+        // Codebook widths outside 1..=16 are rejected before any weight moves.
+        let before = n.flat_weights();
+        for bits in [0, 17] {
+            let bad = DefensePlan::new(0).with(DefenseKind::Requantize { bits });
+            assert!(bad.apply(&mut n, &DefenseContext::empty()).is_err());
+        }
+        assert_eq!(n.flat_weights(), before);
         let plan = DefensePlan::new(0).with(DefenseKind::Requantize { bits: 2 });
         plan.apply(&mut n, &DefenseContext::empty()).unwrap();
         for slot in n.weight_slots() {
@@ -476,16 +483,21 @@ mod tests {
 
     #[test]
     fn plans_reproduce_exactly_per_seed() {
+        let noise = DefensePlan::new(21).with(DefenseKind::NoiseWeights { fraction: 0.05 });
         let plan = DefensePlan::new(21)
             .with(DefenseKind::Rotation {
                 mode: RotationMode::Permute,
             })
             .with(DefenseKind::NoiseWeights { fraction: 0.05 });
+        for p in [&noise, &plan] {
+            let mut x = net(9);
+            let mut y = net(9);
+            p.apply(&mut x, &DefenseContext::empty()).unwrap();
+            p.apply(&mut y, &DefenseContext::empty()).unwrap();
+            assert_eq!(x.flat_weights(), y.flat_weights(), "{p:?}");
+        }
         let mut a = net(9);
-        let mut b = net(9);
         plan.apply(&mut a, &DefenseContext::empty()).unwrap();
-        plan.apply(&mut b, &DefenseContext::empty()).unwrap();
-        assert_eq!(a.flat_weights(), b.flat_weights());
         let mut c = net(9);
         DefensePlan::new(22)
             .with(DefenseKind::Rotation {

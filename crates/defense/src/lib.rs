@@ -26,13 +26,26 @@
 //! * [`Requantize`] — defender-chosen k-means re-quantization,
 //!   annihilating LSB payloads and re-drawing an attacker's
 //!   target-correlated cluster boundaries.
-//! * [`NoiseWeights`] — per-tensor σ-scaled Gaussian noise (migrated
-//!   from `qce::defense::noise_weights`).
+//! * [`NoiseWeights`] — per-tensor σ-scaled Gaussian noise.
 //!
 //! Every draw derives from the plan seed (each defense gets an
 //! independent RNG), so a plan is reproducible and composes
 //! deterministically — the property the tournament goldens in
 //! `qce-harness` rely on.
+//!
+//! **Measured picture** (see the tournament conformance suite under
+//! `conformance/tournament/` and the `defenses` bench): against the
+//! *correlation* attack, noise and defender re-quantization under-deliver
+//! — perturbation strong enough to damage the encoding destroys task
+//! accuracy first. The *rotation* family is different: a compensated
+//! hidden-channel permutation is exactly accuracy-preserving and scrambles
+//! the correlation channel's weight order, driving recovery to zero — but
+//! the hardened statistics-sign channel (`qce_attack::statsign`) survives
+//! it by construction. The arms race is measured, not asserted: the
+//! tournament goldens pin per-cell recovery for every (attack variant ×
+//! defense × bit width) combination, and *detection* (`qce::audit`) plus
+//! reviewing third-party training code remain the defenses that do not
+//! trade accuracy at all.
 //!
 //! # Examples
 //!

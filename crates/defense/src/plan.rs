@@ -303,6 +303,17 @@ impl DefensePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qce_nn::models::ResNetLite;
+
+    fn net() -> Network {
+        ResNetLite::builder()
+            .input(1, 8)
+            .classes(2)
+            .stage_channels(&[4, 8])
+            .blocks_per_stage(1)
+            .build(4)
+            .unwrap()
+    }
 
     #[test]
     fn scaling_is_multiplicative_and_clamped() {
@@ -314,6 +325,22 @@ mod tests {
             n.scaled(3.0),
             DefenseKind::NoiseWeights { fraction } if (fraction - 0.3).abs() < 1e-6
         ));
+        // Scaled-up noise moves the weights monotonically further from
+        // what a correlation decoder reads back.
+        let mut released = net();
+        let clean = released.flat_weights();
+        let snapshot = released.snapshot();
+        let mut last = 1.0;
+        for factor in [2.0, 10.0] {
+            released.restore(&snapshot).unwrap();
+            DefensePlan::new(1)
+                .with(n.scaled(factor))
+                .apply(&mut released, &DefenseContext::empty())
+                .unwrap();
+            let rho = qce_tensor::stats::pearson(&clean, &released.flat_weights());
+            assert!(rho < last, "x{factor}: correlation {rho} !< {last}");
+            last = rho;
+        }
         let f = DefenseKind::FinetuneScrub {
             epochs: 2,
             lr: 0.01,
@@ -347,6 +374,13 @@ mod tests {
             .with(DefenseKind::PruneScrub { fraction: 0.2 });
         assert!(!plan.is_benign());
         assert!(plan.scaled(0.0).is_benign());
+        // A benign plan (zero noise, zero pruning) is the identity.
+        let mut released = net();
+        let before = released.flat_weights();
+        plan.scaled(0.0)
+            .apply(&mut released, &DefenseContext::empty())
+            .unwrap();
+        assert_eq!(released.flat_weights(), before);
         // Permutation rotation cannot be scaled away.
         let rot = DefensePlan::new(1).with(DefenseKind::Rotation {
             mode: RotationMode::Permute,

@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use qce::{AttackFlow, FaultedReport, StageReport};
+use qce::{AttackFlow, FaultedReport, Perturbation, StageReport};
 
 use crate::{ConformanceReport, Result, Scenario, StageMetrics, REPORT_FORMAT_VERSION};
 
@@ -45,52 +45,43 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ConformanceReport> {
         )));
     }
 
-    let (stages, digests) = match &scenario.fault {
-        None if !scenario.defenses.is_empty() => {
-            let mut trained = flow.train(&dataset)?;
-            let pre = trained.float_report()?;
-            let mut stages = vec![stage_from_report(&pre, None)];
-            if let Some(qcfg) = scenario.flow.quant {
-                let release = trained.quantize(qcfg)?;
-                stages.push(stage_from_report(
-                    &release.report,
-                    Some(release.compression_ratio),
-                ));
-            }
-            for (name, plan) in &scenario.defenses {
-                let defended = trained.evaluate_defended(
-                    scenario.flow.quant,
-                    plan,
+    let arms: Vec<(String, Perturbation)> = match &scenario.fault {
+        Some(plan) => vec![("faulted".to_string(), Perturbation::Fault(plan.clone()))],
+        None => scenario
+            .defenses
+            .iter()
+            .map(|(name, plan)| {
+                (
                     format!("defense:{name}"),
-                )?;
-                stages.push(stage_from_faulted(&defended));
-            }
-            (stages, trained.artifact_digests())
+                    Perturbation::Defense(plan.clone()),
+                )
+            })
+            .collect(),
+    };
+
+    let (stages, digests) = if arms.is_empty() {
+        let outcome = flow.run(&dataset)?;
+        let mut stages = vec![stage_from_report(&outcome.pre_quant, None)];
+        if let Some(post) = &outcome.post_quant {
+            stages.push(stage_from_report(post, outcome.compression_ratio));
         }
-        None => {
-            let outcome = flow.run(&dataset)?;
-            let mut stages = vec![stage_from_report(&outcome.pre_quant, None)];
-            if let Some(post) = &outcome.post_quant {
-                stages.push(stage_from_report(post, outcome.compression_ratio));
-            }
-            (stages, outcome.artifact_digests())
+        (stages, outcome.artifact_digests())
+    } else {
+        let mut trained = flow.train(&dataset)?;
+        let pre = trained.float_report()?;
+        let mut stages = vec![stage_from_report(&pre, None)];
+        if let Some(qcfg) = scenario.flow.quant {
+            let release = trained.quantize(qcfg)?;
+            stages.push(stage_from_report(
+                &release.report,
+                Some(release.compression_ratio),
+            ));
         }
-        Some(plan) => {
-            let mut trained = flow.train(&dataset)?;
-            let pre = trained.float_report()?;
-            let mut stages = vec![stage_from_report(&pre, None)];
-            if let Some(qcfg) = scenario.flow.quant {
-                let release = trained.quantize(qcfg)?;
-                stages.push(stage_from_report(
-                    &release.report,
-                    Some(release.compression_ratio),
-                ));
-            }
-            let faulted =
-                trained.evaluate_faulted(scenario.flow.quant, plan, "faulted".to_string())?;
-            stages.push(stage_from_faulted(&faulted));
-            (stages, trained.artifact_digests())
+        for (label, arm) in arms {
+            let report = trained.evaluate_arm(scenario.flow.quant, &arm, label)?;
+            stages.push(stage_from_faulted(&report));
         }
+        (stages, trained.artifact_digests())
     };
 
     let counters = qce_telemetry::snapshot().counters_with_prefix(DETERMINISTIC_COUNTER_PREFIXES);

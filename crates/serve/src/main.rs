@@ -59,19 +59,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         .unwrap_or_else(|| env_or(SERVE_QUOTA_ENV, "0"))
         .parse::<usize>()
         .unwrap_or(0);
-    let mut cache = match flag_value(args, "--cache") {
-        Some(dir) => Some(StageCache::at(dir)),
-        None => StageCache::from_env(),
-    };
-    if let (Some(c), Some(raw)) = (cache.take(), flag_value(args, "--cache-max-bytes")) {
-        cache = Some(match qce_store::parse_byte_budget(&raw) {
-            Some(bytes) => c.with_max_bytes(bytes),
-            None => {
-                eprintln!("qce-serve: ignoring unparsable --cache-max-bytes {raw:?}");
-                c
-            }
-        });
-    }
+    let cache = resolve_cache(args);
 
     let server = match Server::start(ServerConfig {
         addr,
@@ -91,6 +79,26 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     println!("qce-serve: shutdown requested, draining");
     server.shutdown();
     ExitCode::SUCCESS
+}
+
+/// The stage cache `serve` runs with: `--cache DIR` or else the store's
+/// environment, capped by `--cache-max-bytes` when that parses. An
+/// unparsable budget keeps the cache uncapped and warns.
+fn resolve_cache(args: &[String]) -> Option<StageCache> {
+    let cache = match flag_value(args, "--cache") {
+        Some(dir) => StageCache::at(dir),
+        None => StageCache::from_env()?,
+    };
+    let Some(raw) = flag_value(args, "--cache-max-bytes") else {
+        return Some(cache);
+    };
+    Some(match qce_store::parse_byte_budget(&raw) {
+        Some(bytes) => cache.with_max_bytes(bytes),
+        None => {
+            eprintln!("qce-serve: ignoring unparsable --cache-max-bytes {raw:?}");
+            cache
+        }
+    })
 }
 
 fn cmd_load(args: &[String]) -> ExitCode {
@@ -141,4 +149,29 @@ fn cmd_load(args: &[String]) -> ExitCode {
     }
     println!("wrote {out}");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(raw: &[&str]) -> Vec<String> {
+        raw.iter().map(ToString::to_string).collect()
+    }
+
+    // Regression: `--cache` alone used to come back as no cache at all.
+    #[test]
+    fn cache_flag_resolves_with_and_without_a_budget() {
+        let cache = StageCache::at("c");
+        assert_eq!(resolve_cache(&args(&["--cache", "c"])), Some(cache.clone()));
+        assert_eq!(
+            resolve_cache(&args(&["--cache", "c", "--cache-max-bytes", "4K"])),
+            Some(cache.clone().with_max_bytes(4096))
+        );
+        // An unparsable budget keeps the (uncapped) cache.
+        assert_eq!(
+            resolve_cache(&args(&["--cache", "c", "--cache-max-bytes", "lots"])),
+            Some(cache)
+        );
+    }
 }

@@ -377,3 +377,26 @@ fn typed_errors_for_bad_requests() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(cache_dir);
 }
+
+// Regression: a deeply nested body used to overflow the JSON parser's
+// stack and abort the daemon.
+#[test]
+fn deeply_nested_body_is_a_typed_error_not_a_crash() {
+    let _guard = serial();
+    let (server, addr, cache_dir) = start_server("nesting", 1, 0);
+
+    let body = "[".repeat(10 * 1024);
+    let (status, reply) =
+        http_request(&addr, "POST", "/v1/jobs", &[], Some(&body)).expect("nested submit");
+    assert!((400..500).contains(&status), "{status}: {reply}");
+    let doc = parse(&reply).expect("error JSON");
+    assert_eq!(
+        field(field(&doc, "error"), "kind").as_str(),
+        Some("bad_request")
+    );
+    let (status, _) = http_request(&addr, "GET", "/healthz", &[], None).expect("healthz");
+    assert_eq!(status, 200);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(cache_dir);
+}

@@ -390,6 +390,13 @@ mod tests {
     use crate::section_kind;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// The cache counters are process-global, so tests that load or
+    /// store serialize: a concurrent test's hit would skew a delta.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn temp_cache(tag: &str) -> StageCache {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -431,6 +438,7 @@ mod tests {
 
     #[test]
     fn store_then_load_round_trips() {
+        let _serial = serial();
         let cache = temp_cache("roundtrip");
         let key = CacheKey::new(11, 7, "train");
         let hit0 = cache_stats().hit.get();
@@ -453,6 +461,7 @@ mod tests {
 
     #[test]
     fn corrupt_file_is_a_counted_miss() {
+        let _serial = serial();
         let cache = temp_cache("corrupt");
         let key = CacheKey::new(12, 7, "train");
         let path = cache.store(&key, &artifact()).unwrap();
@@ -494,6 +503,7 @@ mod tests {
 
     #[test]
     fn eviction_removes_oldest_entries_and_counts_them() {
+        let _serial = serial();
         let one = artifact().to_bytes().len() as u64;
         // Budget for exactly two artifacts.
         let cache = temp_cache("evict").with_max_bytes(2 * one);
@@ -515,6 +525,7 @@ mod tests {
 
     #[test]
     fn loads_refresh_recency_so_eviction_is_lru_not_fifo() {
+        let _serial = serial();
         let one = artifact().to_bytes().len() as u64;
         let cache = temp_cache("lru").with_max_bytes(2 * one);
         let keys: Vec<CacheKey> = (0..3).map(|s| CacheKey::new(21, s, "train")).collect();
@@ -533,6 +544,7 @@ mod tests {
 
     #[test]
     fn evicted_entry_is_an_ordinary_miss_and_restores_on_next_store() {
+        let _serial = serial();
         let one = artifact().to_bytes().len() as u64;
         let cache = temp_cache("miss-after-evict").with_max_bytes(one);
         let old = CacheKey::new(22, 1, "train");
@@ -555,6 +567,7 @@ mod tests {
 
     #[test]
     fn just_written_entry_survives_even_when_oversized() {
+        let _serial = serial();
         let cache = temp_cache("oversized").with_max_bytes(1);
         let key = CacheKey::new(23, 1, "train");
         cache.store(&key, &artifact()).unwrap();
@@ -565,6 +578,7 @@ mod tests {
 
     #[test]
     fn unbounded_cache_never_evicts() {
+        let _serial = serial();
         let cache = temp_cache("unbounded");
         assert_eq!(cache.max_bytes(), None);
         assert_eq!(cache.clone().with_max_bytes(0).max_bytes(), None);
@@ -580,6 +594,7 @@ mod tests {
 
     #[test]
     fn store_overwrites_existing_entry() {
+        let _serial = serial();
         let cache = temp_cache("overwrite");
         let key = CacheKey::new(13, 7, "select");
         cache.store(&key, &artifact()).unwrap();

@@ -7,7 +7,8 @@
 //! 1. **Stage checkpoints** (inside the machine): cells that share a
 //!    config prefix — e.g. four fault variants of one trained model —
 //!    replay `select`/`train`/`evaluate` checkpoints instead of
-//!    recomputing them.
+//!    recomputing them. A fault cell's own evaluation has no stage
+//!    checkpoint; the whole-cell entry below memoizes it.
 //! 2. **Whole-cell memoization** (here): a finished cell's metrics are
 //!    stored under its content-addressed [`Cell::key`]; a warm re-run
 //!    answers from that entry without even synthesizing the dataset,
@@ -23,7 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use qce::{AttackFlow, FaultedReport, FlowOutcome, StageReport};
+use qce::{AttackFlow, FaultedReport, FlowOutcome, Perturbation, StageReport};
 use qce_harness::RECOVERY_MAPE_CEILING;
 use qce_serve::queue::WorkQueue;
 use qce_store::codec::{ByteReader, ByteWriter};
@@ -145,14 +146,6 @@ fn run_cell(cell: &Cell, opts: &ExecOptions) -> Result<CellRun> {
     if let Some(cache) = &opts.cache {
         flow = flow.with_cache(cache.clone());
     }
-    // The machine derives its narration level from `config.verbose`;
-    // mirror that for the faulted-evaluation path below.
-    let level = if scenario.flow.verbose {
-        qce_telemetry::Level::Progress
-    } else {
-        qce_telemetry::Level::Debug
-    };
-
     let metrics = match &scenario.fault {
         None => {
             let mut machine = flow.machine(&dataset)?;
@@ -162,21 +155,14 @@ fn run_cell(cell: &Cell, opts: &ExecOptions) -> Result<CellRun> {
             metrics_from_outcome(scenario, &machine.into_outcome()?)
         }
         Some(plan) => {
-            // Select + Train only; the faulted evaluation quantizes and
-            // perturbs internally and is itself cached under a hash
-            // covering the quantizer and the fault plan.
-            let mut machine = flow.machine(&dataset)?;
-            machine.advance()?;
-            machine.advance()?;
-            let cache_hash = machine.cache_hash();
-            let mut trained = machine.into_trained()?;
-            let faulted = trained.evaluate_faulted_cached(
+            // Select + Train replay their stage checkpoints; the faulted
+            // evaluation itself is memoized only by the whole-cell entry,
+            // whose key already covers the plan and the quantizer.
+            let mut trained = flow.train(&dataset)?;
+            let faulted = trained.evaluate_arm(
                 scenario.flow.quant,
-                plan,
+                &Perturbation::Fault(plan.clone()),
                 format!("fault seed {}", plan.seed()),
-                opts.cache.as_ref(),
-                cache_hash,
-                level,
             )?;
             metrics_from_faulted(scenario, &faulted)
         }

@@ -176,10 +176,15 @@ impl Default for ObjWriter {
 ///
 /// # Errors
 ///
-/// Returns a position-annotated message for the first syntax error.
+/// Returns a position-annotated message for the first syntax error or
+/// for nesting deeper than `MAX_DEPTH` (128) levels.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -189,9 +194,15 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
     Ok(v)
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a body of `[` characters would
+/// overflow the stack instead of returning an error.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -229,8 +240,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -238,6 +249,23 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at offset {}", self.pos)),
         }
+    }
+
+    /// Parses one container level, refusing to nest past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -420,6 +448,12 @@ mod tests {
         assert!(parse("{} garbage").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
+        // Nesting is bounded: the limit parses, one more level errors
+        // (and a 10 KB run of brackets errors instead of overflowing).
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"[".repeat(10_000)).is_err());
     }
 
     #[test]

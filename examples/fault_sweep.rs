@@ -8,8 +8,8 @@
 //! ```
 
 use qce::{
-    AttackFlow, BandRule, FaultKind, FaultPlan, FlowConfig, Grouping, QuantConfig, QuantMethod,
-    RobustnessReport,
+    AttackFlow, BandRule, FaultKind, FaultPlan, FlowConfig, Grouping, Perturbation, QuantConfig,
+    QuantMethod, RobustnessReport,
 };
 use qce_attack::ImageStatus;
 use qce_data::SynthCifar;
@@ -35,8 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    bit rot. The resilient decoder reports per-image status and never
     //    panics — this is the scenario a naive decoder aborts on.
     let qcfg = QuantConfig::new(QuantMethod::KMeans, 4);
-    let plan = FaultPlan::new(97).with(FaultKind::BitFlip { rate: 0.001 });
-    let faulted = trained.evaluate_faulted(Some(qcfg), &plan, "bitflip 0.1%".to_string())?;
+    let arm = Perturbation::Fault(FaultPlan::new(97).with(FaultKind::BitFlip { rate: 0.001 }));
+    let faulted = trained.evaluate_arm(Some(qcfg), &arm, "bitflip 0.1%".to_string())?;
     println!(
         "faulted release '{}': accuracy {:.3}, decode confidence {:.3}",
         faulted.label, faulted.accuracy, faulted.mean_confidence,

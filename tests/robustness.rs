@@ -4,10 +4,13 @@
 
 use proptest::prelude::*;
 use qce::faults::{FaultKind, FaultPlan};
-use qce::{AttackFlow, BandRule, FlowConfig, FlowError, Grouping, QuantConfig, QuantMethod};
+use qce::{
+    AttackFlow, BandRule, FlowConfig, FlowError, Grouping, Perturbation, QuantConfig, QuantMethod,
+};
 use qce_attack::correlation::SignConvention;
 use qce_attack::{Decoder, EncodingLayout, GroupSpec};
 use qce_data::{Image, SynthCifar};
+use qce_defense::{DefenseKind, DefensePlan};
 use qce_nn::models::ResNetLite;
 use qce_nn::Network;
 
@@ -139,17 +142,28 @@ fn faulted_flow_evaluation_returns_partial_results() {
     };
     let mut trained = AttackFlow::new(cfg).train(&dataset).unwrap();
     let clean = trained.float_report().unwrap();
+    let digests = trained.artifact_digests();
 
     let plan = FaultPlan::new(97).with(FaultKind::BitFlip { rate: 0.001 });
     let qcfg = QuantConfig::new(QuantMethod::KMeans, 4);
-    let faulted = trained
-        .evaluate_faulted(Some(qcfg), &plan, "bitflip".to_string())
-        .unwrap();
-    assert_eq!(faulted.images.len(), clean.images.len());
-    assert!(faulted.ok_count() + faulted.degraded_count() > 0);
-    // The faulted evaluation restores the float state afterwards.
-    let clean2 = trained.float_report().unwrap();
-    assert_eq!(clean, clean2);
+    let arms = [
+        Perturbation::Fault(plan.clone()),
+        Perturbation::Defense(
+            DefensePlan::new(5).with(DefenseKind::NoiseWeights { fraction: 0.5 }),
+        ),
+    ];
+    for arm in &arms {
+        let report = trained
+            .evaluate_arm(Some(qcfg), arm, "arm".to_string())
+            .unwrap();
+        assert_eq!(report.images.len(), clean.images.len());
+        if let Perturbation::Fault(_) = arm {
+            assert!(report.ok_count() + report.degraded_count() > 0);
+        }
+        // Every arm restores the float state afterwards.
+        assert_eq!(trained.float_report().unwrap(), clean, "{arm:?}");
+        assert_eq!(trained.artifact_digests(), digests, "{arm:?}");
+    }
 
     let sweep = trained
         .robustness_sweep(Some(qcfg), &plan, &[0.0, 4.0, 16.0])
