@@ -9,14 +9,13 @@ use qce_quant::{
     finetune, quantize_network, FinetuneConfig, KMeansQuantizer, LinearQuantizer, Quantizer,
     TargetCorrelatedQuantizer, WeightedEntropyQuantizer,
 };
-use qce_store::{persist, section_kind, Artifact, CacheKey, StageCache};
+use qce_store::StageCache;
 use qce_telemetry::{RunManifest, StageStat};
 use qce_tensor::Tensor;
 use std::time::Instant;
 
 use crate::faults::FaultPlan;
 use crate::step::FlowMachine;
-use crate::store_io;
 use crate::{
     EncodingChannel, FaultedImage, FaultedReport, FlowConfig, FlowError, ImageReport, QuantConfig,
     QuantMethod, Result, RobustnessPoint, RobustnessReport, StageReport,
@@ -36,7 +35,7 @@ use crate::{
 /// With a stage cache attached — explicitly via
 /// [`AttackFlow::with_cache`], or via the `QCE_CACHE` environment
 /// variable — every completed stage (select, train, quantize, each
-/// evaluation) is written to disk as a CRC-guarded
+/// evaluation, defend) is written to disk as a CRC-guarded
 /// [`Artifact`](qce_store::Artifact), and re-runs with the same
 /// configuration, seed and dataset load those checkpoints instead of
 /// recomputing. Because each stage is deterministic, a resumed run is
@@ -351,7 +350,7 @@ impl TrainedAttack {
     /// Propagates quantization, fine-tuning or evaluation errors.
     pub fn quantize(&mut self, qcfg: QuantConfig) -> Result<QuantizedRelease> {
         self.restore_float()?;
-        let (ratio, _) = self.quantize_in_place(qcfg)?;
+        let ratio = self.quantize_in_place(qcfg)?.compression_ratio();
         let label = format!("{:?} {}-bit", qcfg.method, qcfg.bits);
         let report = self.evaluate(label)?;
         self.restore_float()?;
@@ -371,7 +370,7 @@ impl TrainedAttack {
     /// Propagates quantization errors.
     pub fn apply_quantized_state(&mut self, qcfg: QuantConfig) -> Result<f64> {
         self.restore_float()?;
-        Ok(self.quantize_in_place(qcfg)?.0)
+        Ok(self.quantize_in_place(qcfg)?.compression_ratio())
     }
 
     /// Restores the network to its float (post-training) state.
@@ -386,10 +385,13 @@ impl TrainedAttack {
         Ok(())
     }
 
-    fn quantize_in_place(
+    /// Quantizes (and fine-tunes, per `qcfg`) the network's current
+    /// state in place, records the quantize stage, and returns the
+    /// quantized handle the compression ratio and release come from.
+    pub(crate) fn quantize_in_place(
         &mut self,
         qcfg: QuantConfig,
-    ) -> Result<(f64, qce_quant::QuantizedNetwork)> {
+    ) -> Result<qce_quant::QuantizedNetwork> {
         let t_quant = Instant::now();
         let a_quant = alloc_mark();
         let quant_span = qce_telemetry::span!("flow.quantize", bits = qcfg.bits);
@@ -465,110 +467,7 @@ impl TrainedAttack {
             wall_ms: t_quant.elapsed().as_secs_f64() * 1e3,
             metrics,
         });
-        Ok((qnet.compression_ratio(), qnet))
-    }
-
-    /// Evaluates the current network state, going through `cache` when
-    /// one is attached. Evaluation reads the network without mutating
-    /// it, so a hit skips the whole stage safely.
-    pub(crate) fn evaluate_cached(
-        &mut self,
-        label: String,
-        cache: Option<&StageCache>,
-        cache_hash: u64,
-        level: qce_telemetry::Level,
-    ) -> Result<StageReport> {
-        let Some(cache) = cache else {
-            return self.evaluate(label);
-        };
-        let key = CacheKey::new(cache_hash, self.config.seed, format!("evaluate:{label}"));
-        if let Some(artifact) = cache.load(&key) {
-            let decoded = artifact
-                .require(store_io::STAGE_REPORT)
-                .and_then(store_io::report_from_bytes);
-            match decoded {
-                Ok(report) if report.label == label => {
-                    log_cache_hit(level, &key.stage);
-                    return Ok(report);
-                }
-                Ok(report) => note_payload_corrupt(
-                    &key.stage,
-                    &format!("label mismatch: stored {:?}", report.label),
-                ),
-                Err(e) => note_payload_corrupt(&key.stage, &e),
-            }
-        }
-        let report = self.evaluate(label)?;
-        let mut artifact = Artifact::new();
-        artifact.push(store_io::STAGE_REPORT, store_io::report_to_bytes(&report));
-        store_stage(cache, &key, &artifact);
-        Ok(report)
-    }
-
-    /// Restores the float state and applies `qcfg`, going through
-    /// `cache` when one is attached: a hit loads the post-fine-tune
-    /// network and the quantized handle instead of re-running
-    /// quantization and fine-tuning. Leaves the network in its released
-    /// (quantized) state either way and returns the compression ratio.
-    pub(crate) fn quantize_cached(
-        &mut self,
-        qcfg: QuantConfig,
-        cache: Option<&StageCache>,
-        cache_hash: u64,
-        level: qce_telemetry::Level,
-    ) -> Result<f64> {
-        self.restore_float()?;
-        let Some(cache) = cache else {
-            return Ok(self.quantize_in_place(qcfg)?.0);
-        };
-        let key = CacheKey::new(cache_hash, self.config.seed, "quantize");
-        if let Some(artifact) = cache.load(&key) {
-            match self.load_quantized_state(&artifact) {
-                Ok(ratio) => {
-                    log_cache_hit(level, &key.stage);
-                    self.stage_stats.push(StageStat {
-                        name: format!("flow.quantize:{:?} {}-bit", qcfg.method, qcfg.bits),
-                        wall_ms: 0.0,
-                        metrics: vec![("quant.compression_ratio".to_string(), ratio)],
-                    });
-                    return Ok(ratio);
-                }
-                Err(e) => note_payload_corrupt(&key.stage, &e),
-            }
-        }
-        let (ratio, qnet) = self.quantize_in_place(qcfg)?;
-        let payloads = persist::network_to_bytes(&self.network)
-            .and_then(|nb| persist::quantized_to_bytes(&qnet).map(|qb| (nb, qb)));
-        match payloads {
-            Ok((net_bytes, qnet_bytes)) => {
-                let mut artifact = Artifact::new();
-                artifact.push(section_kind::NETWORK, net_bytes);
-                artifact.push(section_kind::QUANTIZED_NETWORK, qnet_bytes);
-                store_stage(cache, &key, &artifact);
-            }
-            Err(e) => qce_telemetry::debug!(
-                "[flow] skipping quantize checkpoint (serialization failed): {e}"
-            ),
-        }
-        Ok(ratio)
-    }
-
-    /// Applies a cached quantize artifact: the network section holds the
-    /// released (post-fine-tune) weights and buffers, the quantized
-    /// section rebuilds the handle the compression ratio comes from.
-    fn load_quantized_state(&mut self, artifact: &Artifact) -> qce_store::Result<f64> {
-        let net_bytes = artifact.require(section_kind::NETWORK)?;
-        let qnet =
-            persist::quantized_from_bytes(artifact.require(section_kind::QUANTIZED_NETWORK)?)?;
-        // `network_from_bytes` mutates parameters as it parses; guard
-        // with a snapshot so a payload that fails mid-way cannot leave a
-        // half-loaded network behind the recompute path.
-        let guard = self.network.snapshot();
-        if let Err(e) = persist::network_from_bytes(&mut self.network, net_bytes) {
-            let _ = self.network.restore(&guard);
-            return Err(e);
-        }
-        Ok(qnet.compression_ratio())
+        Ok(qnet)
     }
 
     /// Evaluates one perturbation arm of a would-be release: restores
@@ -593,7 +492,7 @@ impl TrainedAttack {
     ) -> Result<FaultedReport> {
         let result = self.restore_float().and_then(|()| {
             let mut qnet = match qcfg {
-                Some(qcfg) => Some(self.quantize_in_place(qcfg)?.1),
+                Some(qcfg) => Some(self.quantize_in_place(qcfg)?),
                 None => None,
             };
             match arm {
@@ -688,72 +587,6 @@ impl TrainedAttack {
             wall_ms: t_defend.elapsed().as_secs_f64() * 1e3,
             metrics,
         });
-        Ok(report)
-    }
-
-    /// Runs the defense stage through the cache when one is attached: a
-    /// hit loads the defended network and its report instead of re-running
-    /// the countermeasures. Leaves the network defended either way.
-    pub(crate) fn defend_cached(
-        &mut self,
-        plan: &DefensePlan,
-        cache: Option<&StageCache>,
-        cache_hash: u64,
-        level: qce_telemetry::Level,
-    ) -> Result<FaultedReport> {
-        let label = format!("defended seed {}", plan.seed());
-        let Some(cache) = cache else {
-            return self.defend_in_place(plan, label);
-        };
-        let key = CacheKey::new(cache_hash, self.config.seed, "defend");
-        if let Some(artifact) = cache.load(&key) {
-            match self.load_defended_state(&artifact) {
-                Ok(report) if report.label == label => {
-                    log_cache_hit(level, &key.stage);
-                    self.stage_stats.push(StageStat {
-                        name: format!("flow.defend:{label}"),
-                        wall_ms: 0.0,
-                        metrics: vec![("defense.accuracy".to_string(), f64::from(report.accuracy))],
-                    });
-                    return Ok(report);
-                }
-                Ok(report) => note_payload_corrupt(
-                    &key.stage,
-                    &format!("label mismatch: stored {:?}", report.label),
-                ),
-                Err(e) => note_payload_corrupt(&key.stage, &e),
-            }
-        }
-        let report = self.defend_in_place(plan, label)?;
-        match persist::network_to_bytes(&self.network) {
-            Ok(net_bytes) => {
-                let mut artifact = Artifact::new();
-                artifact.push(section_kind::NETWORK, net_bytes);
-                artifact.push(
-                    store_io::FAULTED_REPORT,
-                    store_io::faulted_to_bytes(&report),
-                );
-                store_stage(cache, &key, &artifact);
-            }
-            Err(e) => qce_telemetry::debug!(
-                "[flow] skipping defend checkpoint (serialization failed): {e}"
-            ),
-        }
-        Ok(report)
-    }
-
-    /// Applies a cached defend artifact: the network section holds the
-    /// defended release, the report section its evaluation.
-    fn load_defended_state(&mut self, artifact: &Artifact) -> qce_store::Result<FaultedReport> {
-        let net_bytes = artifact.require(section_kind::NETWORK)?;
-        let report = artifact
-            .require(store_io::FAULTED_REPORT)
-            .and_then(store_io::faulted_from_bytes)?;
-        let guard = self.network.snapshot();
-        if let Err(e) = persist::network_from_bytes(&mut self.network, net_bytes) {
-            let _ = self.network.restore(&guard);
-            return Err(e);
-        }
         Ok(report)
     }
 
@@ -939,10 +772,6 @@ impl TrainedAttack {
     }
 }
 
-pub(crate) fn log_cache_hit(level: qce_telemetry::Level, stage: &str) {
-    qce_telemetry::log_line(level, &format!("[flow] stage cache hit: {stage}"));
-}
-
 /// Allocation counters at stage entry, or `None` when `QCE_ALLOC` is
 /// off — the stage then pays nothing for byte accounting.
 pub(crate) fn alloc_mark() -> Option<qce_telemetry::alloc::AllocStats> {
@@ -968,65 +797,6 @@ pub(crate) fn push_alloc_metrics(
         now.allocations.saturating_sub(before.allocations) as f64,
     ));
     metrics.push(("alloc.peak_bytes".to_string(), now.peak_bytes as f64));
-}
-
-/// A checkpoint that passed the container checksums but whose *payload*
-/// failed to decode (wrong architecture, truncated inner format, stale
-/// semantics). Counted under the same `store.corrupt` metric as
-/// container-level damage; the caller recomputes.
-pub(crate) fn note_payload_corrupt(stage: &str, err: &dyn std::fmt::Display) {
-    qce_telemetry::counter("store.corrupt").incr(1);
-    qce_telemetry::debug!("[flow] discarding cache entry for {stage}: {err}");
-}
-
-/// Writes a stage checkpoint; failures are logged and swallowed — a
-/// read-only or full cache directory must never fail the flow itself.
-pub(crate) fn store_stage(cache: &StageCache, key: &CacheKey, artifact: &Artifact) {
-    if let Err(e) = cache.store(key, artifact) {
-        qce_telemetry::debug!(
-            "[flow] stage checkpoint write failed for {}: {e}",
-            key.stage
-        );
-    }
-}
-
-/// Decodes a cached selection, rejecting indices outside the training
-/// split (possible only if a foreign artifact lands under our key).
-pub(crate) fn decode_selection(
-    artifact: &Artifact,
-    train_len: usize,
-    stage: &str,
-) -> Option<Vec<usize>> {
-    let decoded = artifact
-        .require(section_kind::INDEX_LIST)
-        .and_then(persist::indices_from_bytes);
-    match decoded {
-        Ok(indices) if indices.iter().all(|&i| i < train_len) => Some(indices),
-        Ok(_) => {
-            note_payload_corrupt(stage, &"selection index out of range");
-            None
-        }
-        Err(e) => {
-            note_payload_corrupt(stage, &e);
-            None
-        }
-    }
-}
-
-/// Loads a cached train checkpoint (float weights + buffers + history)
-/// into `net`, snapshot-guarded so a bad payload leaves `net` untouched.
-pub(crate) fn load_trained_state(
-    net: &mut Network,
-    artifact: &Artifact,
-) -> qce_store::Result<TrainingHistory> {
-    let net_bytes = artifact.require(section_kind::NETWORK)?;
-    let history = persist::history_from_bytes(artifact.require(section_kind::TRAINING_HISTORY)?)?;
-    let guard = net.snapshot();
-    if let Err(e) = persist::network_from_bytes(net, net_bytes) {
-        let _ = net.restore(&guard);
-        return Err(e);
-    }
-    Ok(history)
 }
 
 #[cfg(test)]

@@ -33,17 +33,15 @@ use qce_attack::{CorrelationRegularizer, EncodingLayout, GroupSpec};
 use qce_data::{select, Dataset, Image};
 use qce_nn::models::ResNetLite;
 use qce_nn::{LrSchedule, Network, Regularizer, TrainConfig, Trainer};
-use qce_store::{persist, section_kind, Artifact, CacheKey, StageCache};
+use qce_store::section_kind::{INDEX_LIST, NETWORK, QUANTIZED_NETWORK, TRAINING_HISTORY};
+use qce_store::{persist, StageCache, StoreError};
 use qce_telemetry::{RunManifest, StageStat};
 use qce_tensor::par::Pool;
 use qce_tensor::Tensor;
 use std::time::Instant;
 
-use crate::flow::{
-    alloc_mark, decode_selection, load_trained_state, log_cache_hit, push_alloc_metrics,
-    store_stage, FlowOutcome, TrainedAttack,
-};
-use crate::store_io;
+use crate::flow::{alloc_mark, push_alloc_metrics, FlowOutcome, TrainedAttack};
+use crate::store_io::{self, load_network, Checkpoints, FAULTED_REPORT, STAGE_REPORT};
 use crate::{
     Architecture, BandRule, EncodingChannel, FlowConfig, FlowError, Grouping, Result, StageReport,
 };
@@ -155,9 +153,7 @@ struct SelectedState {
 pub struct FlowMachine {
     config: FlowConfig,
     dataset: Option<Dataset>,
-    cache: Option<StageCache>,
-    cache_hash: u64,
-    level: qce_telemetry::Level,
+    checkpoints: Checkpoints,
     step: StageStep,
     selected: Option<SelectedState>,
     trained: Option<TrainedAttack>,
@@ -172,7 +168,7 @@ impl std::fmt::Debug for FlowMachine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlowMachine")
             .field("step", &self.step)
-            .field("cache_hash", &format_args!("{:#018x}", self.cache_hash))
+            .field("checkpoints", &self.checkpoints)
             .finish()
     }
 }
@@ -201,18 +197,10 @@ impl FlowMachine {
                 reason: "flow expects square images".to_string(),
             });
         }
-        let cache_hash = store_io::flow_cache_hash(&config, &dataset);
-        let level = if config.verbose {
-            qce_telemetry::Level::Progress
-        } else {
-            qce_telemetry::Level::Debug
-        };
         Ok(FlowMachine {
+            checkpoints: Checkpoints::new(cache, &config, &dataset),
             config,
             dataset: Some(dataset),
-            cache,
-            cache_hash,
-            level,
             step: StageStep::Select,
             selected: None,
             trained: None,
@@ -326,7 +314,7 @@ impl FlowMachine {
                 reason: "select stage already consumed the dataset".to_string(),
             })?;
         qce_telemetry::log_line(
-            self.level,
+            self.checkpoints.level,
             &format!(
                 "[flow] compute backend: {} thread(s) (override with QCE_THREADS; \
                  results are identical for any thread count)",
@@ -343,7 +331,7 @@ impl FlowMachine {
         let select_span = qce_telemetry::span!("flow.select", seed = cfg.seed);
 
         // Stage 0: the data holder's train/validation split.
-        let (train, test) = dataset.split(cfg.train_fraction, cfg.seed)?;
+        let (mut train, test) = dataset.split(cfg.train_fraction, cfg.seed)?;
         let train_x = train.to_tensor();
         let train_y = train.labels().to_vec();
         let test_x = test.to_tensor();
@@ -401,22 +389,23 @@ impl FlowMachine {
                         * image_pixels
                 }
             };
-            let select_key = CacheKey::new(self.cache_hash, cfg.seed, "select");
-            let cached_indices = self
-                .cache
-                .as_ref()
-                .and_then(|c| c.load(&select_key))
-                .and_then(|artifact| decode_selection(&artifact, train.len(), &select_key.stage));
-            selection_indices = match cached_indices {
-                Some(indices) => {
-                    log_cache_hit(self.level, &select_key.stage);
-                    indices
-                }
-                None => {
-                    let indices = match cfg.band {
+            selection_indices = self.checkpoints.memo(
+                "select",
+                &mut train,
+                |train, artifact| {
+                    let indices = persist::indices_from_bytes(artifact.require(INDEX_LIST)?)?;
+                    if indices.iter().any(|&i| i >= train.len()) {
+                        return Err(StoreError::Payload {
+                            reason: "selection index out of range".to_string(),
+                        });
+                    }
+                    Ok(indices)
+                },
+                |train| {
+                    Ok(match cfg.band {
                         BandRule::Auto { width } => {
                             select::select_targets(
-                                &train,
+                                train,
                                 width,
                                 capacity_pixels,
                                 cfg.seed.wrapping_add(2),
@@ -426,7 +415,7 @@ impl FlowMachine {
                         BandRule::Explicit { min, max } => {
                             let band = select::StdBand::new(min, max)?;
                             select::select_targets_in_band(
-                                &train,
+                                train,
                                 band,
                                 capacity_pixels,
                                 cfg.seed.wrapping_add(2),
@@ -442,18 +431,10 @@ impl FlowMachine {
                             }
                             (0..n).collect()
                         }
-                    };
-                    if let Some(c) = &self.cache {
-                        let mut artifact = Artifact::new();
-                        artifact.push(
-                            section_kind::INDEX_LIST,
-                            persist::indices_to_bytes(&indices),
-                        );
-                        store_stage(c, &select_key, &artifact);
-                    }
-                    indices
-                }
-            };
+                    })
+                },
+                |_, indices| Ok(vec![(INDEX_LIST, persist::indices_to_bytes(indices))]),
+            )?;
             targets = selection_indices
                 .iter()
                 .map(|&i| train.image(i).clone())
@@ -538,48 +519,30 @@ impl FlowMachine {
             guard: qce_nn::DivergenceGuard::default(),
             verbose: cfg.verbose,
         });
-        let train_key = CacheKey::new(self.cache_hash, cfg.seed, "train");
-        let mut cached_training = None;
-        if let Some(c) = &self.cache {
-            if let Some(artifact) = c.load(&train_key) {
-                match load_trained_state(&mut sel.net, &artifact) {
-                    Ok(history) => {
-                        log_cache_hit(self.level, &train_key.stage);
-                        cached_training = Some(history);
-                    }
-                    Err(e) => crate::flow::note_payload_corrupt(&train_key.stage, &e),
-                }
-            }
-        }
-        let training = match cached_training {
-            Some(history) => history,
-            None => {
+        let training = self.checkpoints.memo(
+            "train",
+            &mut sel,
+            |sel, artifact| {
+                let history = persist::history_from_bytes(artifact.require(TRAINING_HISTORY)?)?;
+                load_network(&mut sel.net, artifact.require(NETWORK)?)?;
+                Ok(history)
+            },
+            |sel| {
                 let reg: Option<&mut dyn Regularizer> =
                     match (sel.corr_reg.as_mut(), sel.stat_reg.as_mut()) {
                         (Some(r), _) => Some(r),
                         (None, Some(r)) => Some(r),
                         (None, None) => None,
                     };
-                let history = trainer.fit(&mut sel.net, &sel.train_x, &sel.train_y, reg)?;
-                if let Some(c) = &self.cache {
-                    match persist::network_to_bytes(&sel.net) {
-                        Ok(net_bytes) => {
-                            let mut artifact = Artifact::new();
-                            artifact.push(section_kind::NETWORK, net_bytes);
-                            artifact.push(
-                                section_kind::TRAINING_HISTORY,
-                                persist::history_to_bytes(&history),
-                            );
-                            store_stage(c, &train_key, &artifact);
-                        }
-                        Err(e) => qce_telemetry::debug!(
-                            "[flow] skipping train checkpoint (serialization failed): {e}"
-                        ),
-                    }
-                }
-                history
-            }
-        };
+                Ok(trainer.fit(&mut sel.net, &sel.train_x, &sel.train_y, reg)?)
+            },
+            |sel, history| {
+                Ok(vec![
+                    (NETWORK, persist::network_to_bytes(&sel.net)?),
+                    (TRAINING_HISTORY, persist::history_to_bytes(history)),
+                ])
+            },
+        )?;
         drop(train_span);
         let mut train_metrics =
             qce_telemetry::snapshot().flatten_with_prefix(&["train.", "attack."]);
@@ -610,26 +573,21 @@ impl FlowMachine {
         Ok("flow.train".to_string())
     }
 
-    fn trained_mut(&mut self) -> Result<&mut TrainedAttack> {
-        self.trained
+    /// The trained state, and the checkpoints its stages go through.
+    fn trained_mut(&mut self) -> Result<(&mut TrainedAttack, &Checkpoints)> {
+        let trained = self
+            .trained
             .as_mut()
             .ok_or_else(|| FlowError::InvalidConfig {
                 reason: "flow machine has no trained state for this step".to_string(),
-            })
+            })?;
+        Ok((trained, &self.checkpoints))
     }
 
     fn run_evaluate_float(&mut self) -> Result<String> {
-        let cache = self.cache.clone();
-        let cache_hash = self.cache_hash;
-        let level = self.level;
-        let trained = self.trained_mut()?;
+        let (trained, checkpoints) = self.trained_mut()?;
         trained.restore_float()?;
-        let report = trained.evaluate_cached(
-            "uncompressed".to_string(),
-            cache.as_ref(),
-            cache_hash,
-            level,
-        )?;
+        let report = evaluate_stage(trained, checkpoints, "uncompressed".to_string())?;
         self.pre_quant = Some(report);
         Ok("flow.evaluate:uncompressed".to_string())
     }
@@ -638,30 +596,48 @@ impl FlowMachine {
         let Some(qcfg) = self.config.quant else {
             return Ok(None);
         };
-        let cache = self.cache.clone();
-        let cache_hash = self.cache_hash;
-        let level = self.level;
-        let trained = self.trained_mut()?;
+        let label = format!("flow.quantize:{:?} {}-bit", qcfg.method, qcfg.bits);
+        let (trained, checkpoints) = self.trained_mut()?;
         // Quantize once and leave the network in its released
         // (quantized) state; the next step evaluates that state in place.
-        let ratio = trained.quantize_cached(qcfg, cache.as_ref(), cache_hash, level)?;
-        self.compression_ratio = Some(ratio);
-        Ok(Some(format!(
-            "flow.quantize:{:?} {}-bit",
-            qcfg.method, qcfg.bits
-        )))
+        // A hit loads the post-fine-tune network instead of re-running
+        // quantization and fine-tuning.
+        trained.restore_float()?;
+        let qnet = checkpoints.memo(
+            "quantize",
+            trained,
+            |trained, artifact| {
+                let qnet = persist::quantized_from_bytes(artifact.require(QUANTIZED_NETWORK)?)?;
+                load_network(&mut trained.network, artifact.require(NETWORK)?)?;
+                trained.stage_stats.push(StageStat {
+                    name: label.clone(),
+                    wall_ms: 0.0,
+                    metrics: vec![(
+                        "quant.compression_ratio".to_string(),
+                        qnet.compression_ratio(),
+                    )],
+                });
+                Ok(qnet)
+            },
+            |trained| trained.quantize_in_place(qcfg),
+            |trained, qnet| {
+                Ok(vec![
+                    (NETWORK, persist::network_to_bytes(&trained.network)?),
+                    (QUANTIZED_NETWORK, persist::quantized_to_bytes(qnet)?),
+                ])
+            },
+        )?;
+        self.compression_ratio = Some(qnet.compression_ratio());
+        Ok(Some(label))
     }
 
     fn run_evaluate_quantized(&mut self) -> Result<Option<String>> {
         let Some(qcfg) = self.config.quant else {
             return Ok(None);
         };
-        let cache = self.cache.clone();
-        let cache_hash = self.cache_hash;
-        let level = self.level;
         let label = format!("{:?} {}-bit", qcfg.method, qcfg.bits);
-        let trained = self.trained_mut()?;
-        let report = trained.evaluate_cached(label.clone(), cache.as_ref(), cache_hash, level)?;
+        let (trained, checkpoints) = self.trained_mut()?;
+        let report = evaluate_stage(trained, checkpoints, label.clone())?;
         self.post_quant = Some(report);
         Ok(Some(format!("flow.evaluate:{label}")))
     }
@@ -674,11 +650,30 @@ impl FlowMachine {
         let Some(plan) = self.config.defense.clone() else {
             return Ok(None);
         };
-        let cache = self.cache.clone();
-        let cache_hash = self.cache_hash;
-        let level = self.level;
-        let trained = self.trained_mut()?;
-        let report = trained.defend_cached(&plan, cache.as_ref(), cache_hash, level)?;
+        let label = format!("defended seed {}", plan.seed());
+        let (trained, checkpoints) = self.trained_mut()?;
+        let report = checkpoints.memo(
+            "defend",
+            trained,
+            |trained, artifact| {
+                let report = store_io::faulted_from_bytes(artifact.require(FAULTED_REPORT)?)?;
+                store_io::check_label(&report.label, &label)?;
+                load_network(&mut trained.network, artifact.require(NETWORK)?)?;
+                trained.stage_stats.push(StageStat {
+                    name: format!("flow.defend:{label}"),
+                    wall_ms: 0.0,
+                    metrics: vec![("defense.accuracy".to_string(), f64::from(report.accuracy))],
+                });
+                Ok(report)
+            },
+            |trained| trained.defend_in_place(&plan, label.clone()),
+            |trained, report| {
+                Ok(vec![
+                    (NETWORK, persist::network_to_bytes(&trained.network)?),
+                    (FAULTED_REPORT, store_io::faulted_to_bytes(report)),
+                ])
+            },
+        )?;
         let label = format!("flow.defend:{}", report.label);
         self.post_defense = Some(report);
         Ok(Some(label))
@@ -748,6 +743,27 @@ impl FlowMachine {
         });
         Ok("flow.finish".to_string())
     }
+}
+
+/// Evaluates the network's current state under the `evaluate:<label>`
+/// checkpoint. Evaluation reads the network without mutating it, so a
+/// hit skips the whole stage safely.
+fn evaluate_stage(
+    trained: &mut TrainedAttack,
+    checkpoints: &Checkpoints,
+    label: String,
+) -> Result<StageReport> {
+    checkpoints.memo(
+        &format!("evaluate:{label}"),
+        trained,
+        |_, artifact| {
+            let report = store_io::report_from_bytes(artifact.require(STAGE_REPORT)?)?;
+            store_io::check_label(&report.label, &label)?;
+            Ok(report)
+        },
+        |trained| trained.evaluate(label.clone()),
+        |_, report| Ok(vec![(STAGE_REPORT, store_io::report_to_bytes(report))]),
+    )
 }
 
 #[cfg(test)]

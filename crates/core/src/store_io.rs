@@ -1,5 +1,6 @@
-//! Flow-side glue for the [`qce_store`] stage cache: the cache-key
-//! derivation and the [`StageReport`] section codec.
+//! Flow-side glue for the [`qce_store`] stage cache: the one checkpoint
+//! path every flow stage goes through ([`Checkpoints::memo`]), the
+//! cache-key derivation, and the [`StageReport`] section codec.
 //!
 //! `qce-store` sits *below* this crate in the dependency graph, so it
 //! cannot know about [`StageReport`]; this module serializes it with the
@@ -14,8 +15,9 @@
 //! data would collide on the same cache entries.
 
 use qce_data::Dataset;
+use qce_nn::Network;
 use qce_store::codec::{ByteReader, ByteWriter};
-use qce_store::{section_kind, StoreError};
+use qce_store::{persist, section_kind, Artifact, CacheKey, Digester, StageCache, StoreError};
 
 use crate::{FaultedImage, FaultedReport, FlowConfig, ImageReport, ImageStatus, StageReport};
 
@@ -26,33 +28,128 @@ pub(crate) const STAGE_REPORT: u16 = section_kind::DOWNSTREAM_BASE;
 /// stage's checkpoint payload).
 pub(crate) const FAULTED_REPORT: u16 = section_kind::DOWNSTREAM_BASE + 1;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// How a flow's stages are checkpointed: the stage cache (if any), the
+/// key components shared by every stage of one `(config, dataset)` run,
+/// and the log level cache hits are reported at.
+#[derive(Debug)]
+pub(crate) struct Checkpoints {
+    cache: Option<StageCache>,
+    hash: u64,
+    seed: u64,
+    /// The flow's log level (`Progress` for verbose configs).
+    pub(crate) level: qce_telemetry::Level,
+}
 
-fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
+impl Checkpoints {
+    pub(crate) fn new(cache: Option<StageCache>, config: &FlowConfig, dataset: &Dataset) -> Self {
+        Checkpoints {
+            cache,
+            hash: flow_cache_hash(config, dataset),
+            seed: config.seed,
+            level: if config.verbose {
+                qce_telemetry::Level::Progress
+            } else {
+                qce_telemetry::Level::Debug
+            },
+        }
     }
-    hash
+
+    /// Runs one checkpointed stage over `state`.
+    ///
+    /// Without a cache this is just `compute`. Otherwise the stage's
+    /// artifact is probed first: if `load` accepts it the stage is a
+    /// hit; if `load` rejects it (a payload that decodes inconsistently)
+    /// `store.corrupt` counts and the stage recomputes. After a compute,
+    /// `save` lists the artifact's sections; a serialization or write
+    /// failure is logged and swallowed — caching is an optimization,
+    /// never a correctness dependency.
+    ///
+    /// `load` must leave `state` untouched when it fails (see
+    /// [`load_network`]).
+    pub(crate) fn memo<S, T>(
+        &self,
+        stage: &str,
+        state: &mut S,
+        load: impl FnOnce(&mut S, &Artifact) -> qce_store::Result<T>,
+        compute: impl FnOnce(&mut S) -> crate::Result<T>,
+        save: impl FnOnce(&S, &T) -> qce_store::Result<Vec<(u16, Vec<u8>)>>,
+    ) -> crate::Result<T> {
+        let Some(cache) = &self.cache else {
+            return compute(state);
+        };
+        let key = CacheKey::new(self.hash, self.seed, stage);
+        if let Some(artifact) = cache.load(&key) {
+            match load(state, &artifact) {
+                Ok(value) => {
+                    qce_telemetry::log_line(
+                        self.level,
+                        &format!("[flow] stage cache hit: {stage}"),
+                    );
+                    return Ok(value);
+                }
+                Err(e) => {
+                    qce_telemetry::counter("store.corrupt").incr(1);
+                    qce_telemetry::debug!("[flow] discarding cache entry for {stage}: {e}");
+                }
+            }
+        }
+        let value = compute(state)?;
+        match save(state, &value) {
+            Ok(sections) => {
+                let mut artifact = Artifact::new();
+                for (kind, payload) in sections {
+                    artifact.push(kind, payload);
+                }
+                if let Err(e) = cache.store(&key, &artifact) {
+                    qce_telemetry::debug!("[flow] stage checkpoint write failed for {stage}: {e}");
+                }
+            }
+            Err(e) => qce_telemetry::debug!(
+                "[flow] skipping {stage} checkpoint (serialization failed): {e}"
+            ),
+        }
+        Ok(value)
+    }
+}
+
+/// Loads a cached network section into `net`. The loader mutates
+/// parameters as it parses, so this is snapshot-guarded: a payload that
+/// fails mid-way leaves `net` as it was.
+pub(crate) fn load_network(net: &mut Network, bytes: &[u8]) -> qce_store::Result<()> {
+    let guard = net.snapshot();
+    persist::network_from_bytes(net, bytes).inspect_err(|_| {
+        let _ = net.restore(&guard);
+    })
+}
+
+/// Rejects a cached report whose label is not the one this stage
+/// computes (a foreign artifact under the stage's key).
+pub(crate) fn check_label(stored: &str, expected: &str) -> qce_store::Result<()> {
+    if stored == expected {
+        return Ok(());
+    }
+    Err(StoreError::Payload {
+        reason: format!("label mismatch: stored {stored:?}"),
+    })
 }
 
 /// The hash component of every stage cache key for a `(config, dataset)`
 /// pair: the manifest's config hash, extended FNV-1a style over the
 /// dataset's class count, length, per-image geometry, pixels, and labels.
-pub(crate) fn flow_cache_hash(config: &FlowConfig, dataset: &Dataset) -> u64 {
-    let config_hash = qce_telemetry::fnv1a(&format!("{config:?}"));
-    let mut h = fnv1a_extend(FNV_OFFSET, &config_hash.to_le_bytes());
-    h = fnv1a_extend(h, &(dataset.classes() as u64).to_le_bytes());
-    h = fnv1a_extend(h, &(dataset.len() as u64).to_le_bytes());
+fn flow_cache_hash(config: &FlowConfig, dataset: &Dataset) -> u64 {
+    let mut d = Digester::new()
+        .u64(qce_telemetry::fnv1a(&format!("{config:?}")))
+        .u64(dataset.classes() as u64)
+        .u64(dataset.len() as u64);
     for (image, &label) in dataset.images().iter().zip(dataset.labels()) {
-        h = fnv1a_extend(h, &(image.channels() as u32).to_le_bytes());
-        h = fnv1a_extend(h, &(image.height() as u32).to_le_bytes());
-        h = fnv1a_extend(h, &(image.width() as u32).to_le_bytes());
-        h = fnv1a_extend(h, image.pixels());
-        h = fnv1a_extend(h, &(label as u64).to_le_bytes());
+        d = d
+            .bytes(&(image.channels() as u32).to_le_bytes())
+            .bytes(&(image.height() as u32).to_le_bytes())
+            .bytes(&(image.width() as u32).to_le_bytes())
+            .bytes(image.pixels())
+            .u64(label as u64);
     }
-    h
+    d.finish()
 }
 
 /// Serializes a [`StageReport`] — including the observational `wall_ms`

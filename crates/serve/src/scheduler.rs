@@ -348,7 +348,7 @@ impl Scheduler {
 
     fn run_job(&self, job: &Arc<Job>) {
         let started = Instant::now();
-        let outcome = self.drive(job);
+        let outcome = fail_on_panic(|| self.drive(job));
         let mut inner = self.inner.lock().expect("scheduler");
         match outcome {
             Ok(Some(result)) => {
@@ -432,6 +432,23 @@ impl Scheduler {
     }
 }
 
+/// Runs `f`, turning a panic into a [`ErrorKind::Flow`] error that
+/// carries the panic text. Without this a panicking flow would end its
+/// worker thread and leave the job `Running` forever, with every stream
+/// on it waiting.
+fn fail_on_panic<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let message = match payload.downcast::<String>() {
+            Ok(text) => *text,
+            Err(payload) => match payload.downcast::<&str>() {
+                Ok(text) => (*text).to_string(),
+                Err(_) => "flow panicked".to_string(),
+            },
+        };
+        Err(ServeError::new(ErrorKind::Flow, message))
+    })
+}
+
 /// Removes the job from the dedup index and releases its tenants'
 /// quota charges, then applies the terminal state under the job lock
 /// and wakes all waiters. Caller holds `inner`.
@@ -495,4 +512,24 @@ fn result_json(scenario: &Scenario, outcome: &qce::FlowOutcome, wall_ms: f64) ->
     };
     root.raw("digests", &digests.finish());
     root.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panic_becomes_a_flow_error_with_its_text() {
+        // A literal message panics with a `&str` payload, a formatted
+        // one with a `String`.
+        let err = fail_on_panic(|| -> Result<()> { panic!("static text") }).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Flow);
+        assert_eq!(err.message, "static text");
+
+        let step = 3;
+        let err =
+            fail_on_panic(|| -> Result<()> { panic!("formatted at step {step}") }).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Flow);
+        assert_eq!(err.message, "formatted at step 3");
+    }
 }
