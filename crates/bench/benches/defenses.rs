@@ -20,6 +20,7 @@ use qce_attack::correlation::SignConvention;
 use qce_attack::Decoder;
 use qce_bench::{banner, base_config, cifar_rgb, pct};
 use qce_defense::{DefenseKind, DefensePlan, RotationMode};
+use qce_telemetry::bench::BenchFile;
 use qce_tensor::par::Pool;
 
 /// MAPE ceiling under which a decoded image counts as recovered (matches
@@ -173,22 +174,12 @@ const TIMING_REPS: usize = 3;
 
 struct DefenseRow {
     name: String,
-    serial_ms: f64,
-    parallel_ms: f64,
-    bitwise_identical: bool,
-}
-
-impl DefenseRow {
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\"name\": \"{}\", ",
-                "\"serial_ms\": {:.4}, \"parallel_ms\": {:.4}, ",
-                "\"bitwise_identical\": {}}}"
-            ),
-            self.name, self.serial_ms, self.parallel_ms, self.bitwise_identical,
-        )
-    }
+    /// Gated wall times in ms, one per leg: `wall` for a single-threaded
+    /// transform, `threads1`/`threads4` for the pool-parameterized
+    /// decoder.
+    legs: Vec<(&'static str, f64)>,
+    /// The two runs behind the row produced identical bytes.
+    identical: bool,
 }
 
 /// Minimum wall time of `TIMING_REPS` runs plus the produced weight bits.
@@ -220,16 +211,15 @@ fn write_bench_json(corr: &mut TrainedAttack) {
         if plan.is_benign() {
             continue;
         }
-        // Defense transforms are single-threaded; both columns carry the
-        // same wall time and the bitwise flag asserts that a seeded plan
-        // re-applied to the same release is deterministic.
+        // Defense transforms are single-threaded: one wall time, and the
+        // identity check asserts that a seeded plan re-applied to the
+        // same release is deterministic.
         let (first_s, first_bits) = time_defense(corr, &plan);
         let (second_s, second_bits) = time_defense(corr, &plan);
         rows.push(DefenseRow {
             name: format!("defense_{}", name.replace([' ', '%', '-'], "_")),
-            serial_ms: first_s.min(second_s) * 1e3,
-            parallel_ms: first_s.min(second_s) * 1e3,
-            bitwise_identical: first_bits == second_bits,
+            legs: vec![("wall", first_s.min(second_s) * 1e3)],
+            identical: first_bits == second_bits,
         });
     }
 
@@ -262,31 +252,32 @@ fn write_bench_json(corr: &mut TrainedAttack) {
     let (parallel_s, parallel_bits) = time_decode(&Pool::with_threads(4));
     rows.push(DefenseRow {
         name: "decode_resilient".to_string(),
-        serial_ms: serial_s * 1e3,
-        parallel_ms: parallel_s * 1e3,
-        bitwise_identical: serial_bits == parallel_bits,
+        legs: vec![("threads1", serial_s * 1e3), ("threads4", parallel_s * 1e3)],
+        identical: serial_bits == parallel_bits,
     });
 
+    let mut file = BenchFile::new("defenses");
     for r in &rows {
+        let legs: Vec<String> = r
+            .legs
+            .iter()
+            .map(|(leg, ms)| format!("{leg} {ms:9.3} ms"))
+            .collect();
         qce_telemetry::progress!(
-            "{:<32} serial {:9.3} ms | parallel {:9.3} ms | bitwise_identical={}",
+            "{:<32} {} | min of {TIMING_REPS} | identical={}",
             r.name,
-            r.serial_ms,
-            r.parallel_ms,
-            r.bitwise_identical,
+            legs.join(" | "),
+            r.identical,
         );
-        assert!(r.bitwise_identical, "{}: non-deterministic output", r.name);
+        assert!(r.identical, "{}: non-deterministic output", r.name);
+        for (leg, ms) in &r.legs {
+            file.insert(format!("{}.{leg}_ms", r.name), *ms, "ms");
+        }
     }
 
-    let body: Vec<String> = rows.iter().map(DefenseRow::json).collect();
-    let json = format!(
-        "{{\n  \"bench\": \"defenses\",\n  \"reps\": {},\n  \"kernels\": [\n{}\n  ]\n}}\n",
-        TIMING_REPS,
-        body.join(",\n"),
-    );
     // The bench binary's cwd is the package dir; anchor the report at the
     // workspace root so CI can pick it up from a stable path.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_defense.json");
-    std::fs::write(path, json).expect("write BENCH_defense.json");
+    std::fs::write(path, file.to_json()).expect("write BENCH_defense.json");
     qce_telemetry::progress!("wrote {path}");
 }

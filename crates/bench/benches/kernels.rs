@@ -6,9 +6,10 @@
 //! Beyond the criterion samples, `main` runs every hot kernel on the
 //! serial reference pool, a 4-thread pool and the `QCE_THREADS` global
 //! pool, plus a forced-scalar vs detected-SIMD pair on the serial pool,
-//! asserts all outputs are bit-for-bit identical, and writes the
-//! wall-clock and GFLOP/s comparison to `BENCH_kernels.json` so CI can
-//! archive and gate the numbers next to the run.
+//! asserts all outputs are bit-for-bit identical, prints the wall-clock
+//! and GFLOP/s comparison, and writes each kernel's timed legs to
+//! `BENCH_kernels.json` so CI can archive and gate the numbers next to
+//! the run.
 
 use criterion::{criterion_group, BatchSize, Criterion};
 use std::hint::black_box;
@@ -21,6 +22,7 @@ use qce_quant::{
     pack, KMeansQuantizer, LinearQuantizer, Quantizer, TargetCorrelatedQuantizer,
     WeightedEntropyQuantizer,
 };
+use qce_telemetry::bench::BenchFile;
 use qce_tensor::conv::{conv2d, conv2d_backward, conv2d_backward_with, conv2d_with, ConvGeometry};
 use qce_tensor::par::Pool;
 use qce_tensor::{init, linalg, Tensor};
@@ -159,8 +161,8 @@ fn bench_metrics_and_packing(c: &mut Criterion) {
 
 // ---------------------------------------------------------------------------
 // Backend comparison harness: serial vs parallel wall time + GFLOP/s and a
-// scalar-vs-SIMD pair per kernel, with bitwise-identity checks, written to
-// BENCH_kernels.json.
+// scalar-vs-SIMD pair per kernel, with bitwise-identity checks; the timed
+// legs are written to BENCH_kernels.json.
 //
 // Measurement is *interleaved*: every rep runs each leg (serial pool,
 // 4-thread pool, global pool, forced-scalar SIMD, detected SIMD) once,
@@ -190,10 +192,10 @@ struct KernelRow {
     simd_s: f64,
     simd_level: &'static str,
     /// Pool legs (serial / 4-thread / global) produced identical bytes.
-    bitwise_identical: bool,
+    pools_identical: bool,
     /// Forced-scalar and detected-SIMD legs produced identical bytes
     /// (also identical to the pool legs — asserted by the caller).
-    simd_bitwise_identical: bool,
+    simd_identical: bool,
 }
 
 impl KernelRow {
@@ -250,8 +252,8 @@ impl KernelRow {
             scalar_s: best[3],
             simd_s: best[4],
             simd_level: detected.name(),
-            bitwise_identical: bits[0] == bits[1] && bits[0] == bits[2],
-            simd_bitwise_identical: bits[3] == bits[4] && bits[0] == bits[3],
+            pools_identical: bits[0] == bits[1] && bits[0] == bits[2],
+            simd_identical: bits[3] == bits[4] && bits[0] == bits[3],
         }
     }
 
@@ -262,43 +264,32 @@ impl KernelRow {
         self.flops as f64 / seconds / 1e9
     }
 
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"flops\": {}, ",
-                "\"serial_ms\": {:.4}, \"parallel_ms\": {:.4}, \"global_ms\": {:.4}, ",
-                "\"serial_gflops\": {:.4}, \"parallel_gflops\": {:.4}, ",
-                "\"speedup_parallel_over_serial\": {:.4}, ",
-                "\"scalar_ms\": {:.4}, \"simd_ms\": {:.4}, \"simd_level\": \"{}\", ",
-                "\"scalar_gflops\": {:.4}, \"simd_gflops\": {:.4}, ",
-                "\"speedup_simd_over_scalar\": {:.4}, ",
-                "\"bitwise_identical\": {}, \"simd_bitwise_identical\": {}}}"
-            ),
-            self.name,
-            self.flops,
-            self.serial_s * 1e3,
-            self.parallel_s * 1e3,
-            self.global_s * 1e3,
-            self.gflops(self.serial_s),
-            self.gflops(self.parallel_s),
-            self.serial_s / self.parallel_s.max(1e-12),
-            self.scalar_s * 1e3,
-            self.simd_s * 1e3,
-            self.simd_level,
-            self.gflops(self.scalar_s),
-            self.gflops(self.simd_s),
-            self.scalar_s / self.simd_s.max(1e-12),
-            self.bitwise_identical,
-            self.simd_bitwise_identical,
-        )
+    /// Adds the four gated legs as `<kernel>.{threads1,threads4,scalar,simd}_ms`.
+    fn record(&self, file: &mut BenchFile) {
+        for (leg, seconds) in [
+            ("threads1", self.serial_s),
+            ("threads4", self.parallel_s),
+            ("scalar", self.scalar_s),
+            ("simd", self.simd_s),
+        ] {
+            file.insert(format!("{}.{leg}_ms", self.name), seconds * 1e3, "ms");
+        }
     }
 }
 
 fn backend_comparison() {
+    // `detected_cores` qualifies every speedup number: on a 1-core host
+    // the pool falls back to inline execution, so "parallel" timings are
+    // really the serial path plus partitioning and the speedup is ~1.0
+    // by construction, not a regression. The SIMD levels qualify the
+    // scalar-vs-SIMD pairs the same way: on a host without AVX2 the
+    // "simd" leg is the scalar path and its speedup is ~1.0.
     qce_telemetry::progress!(
-        "\nbackend comparison (serial vs 4-thread pool, scalar vs {} SIMD; interleaved min of {HARNESS_REPS} runs, {} detected cores)",
+        "\nbackend comparison (serial vs 4-thread pool, scalar vs {} SIMD, {} active; interleaved min of {HARNESS_REPS} runs, {} detected cores, global pool {} threads)",
         qce_tensor::simd::detect().name(),
+        qce_tensor::simd::active().name(),
         qce_tensor::par::detected_cores(),
+        Pool::global().threads(),
     );
     let mut rng = init::seeded_rng(11);
 
@@ -351,53 +342,43 @@ fn backend_comparison() {
     });
 
     let rows = [matmul_row, fwd_row, bwd_row, fit_row, assign_row];
+    let mut file = BenchFile::new("kernels");
     for r in &rows {
         qce_telemetry::progress!(
-            "{:<28} serial {:9.3} ms | 4-thread {:9.3} ms | speedup {:5.2}x | scalar {:9.3} ms | {} {:9.3} ms | simd speedup {:5.2}x | {:7.2} GFLOP/s simd | bitwise={} simd_bitwise={}",
+            "{:<28} serial {:9.3} ms | 4-thread {:9.3} ms | global {:9.3} ms | speedup {:5.2}x | scalar {:9.3} ms | {} {:9.3} ms | simd speedup {:5.2}x | GFLOP/s serial {:.2} 4-thread {:.2} scalar {:.2} simd {:.2} | bitwise={} simd_bitwise={}",
             r.name,
             r.serial_s * 1e3,
             r.parallel_s * 1e3,
+            r.global_s * 1e3,
             r.serial_s / r.parallel_s.max(1e-12),
             r.scalar_s * 1e3,
             r.simd_level,
             r.simd_s * 1e3,
             r.scalar_s / r.simd_s.max(1e-12),
+            r.gflops(r.serial_s),
+            r.gflops(r.parallel_s),
+            r.gflops(r.scalar_s),
             r.gflops(r.simd_s),
-            r.bitwise_identical,
-            r.simd_bitwise_identical,
+            r.pools_identical,
+            r.simd_identical,
         );
         assert!(
-            r.bitwise_identical,
+            r.pools_identical,
             "{}: serial and parallel outputs differ",
             r.name
         );
         assert!(
-            r.simd_bitwise_identical,
+            r.simd_identical,
             "{}: scalar and SIMD outputs differ",
             r.name
         );
+        r.record(&mut file);
     }
 
-    let body: Vec<String> = rows.iter().map(KernelRow::json).collect();
-    // `detected_cores` qualifies every speedup number: on a 1-core host
-    // the pool falls back to inline execution, so "parallel" timings are
-    // really the serial path plus partitioning and the speedup is ~1.0
-    // by construction, not a regression. `simd` qualifies the
-    // scalar-vs-SIMD pairs the same way: on a host without AVX2 the
-    // "simd" leg is the scalar path and its speedup is ~1.0.
-    let json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"threads\": {{\"serial\": 1, \"parallel\": 4, \"global\": {}, \"detected_cores\": {}}},\n  \"simd\": {{\"detected\": \"{}\", \"active\": \"{}\"}},\n  \"reps\": {},\n  \"kernels\": [\n{}\n  ]\n}}\n",
-        Pool::global().threads(),
-        qce_tensor::par::detected_cores(),
-        qce_tensor::simd::detect().name(),
-        qce_tensor::simd::active().name(),
-        HARNESS_REPS,
-        body.join(",\n"),
-    );
     // The bench binary's cwd is the package dir; anchor the report at the
     // workspace root so CI can pick it up from a stable path.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    std::fs::write(path, json).expect("write BENCH_kernels.json");
+    std::fs::write(path, file.to_json()).expect("write BENCH_kernels.json");
     qce_telemetry::progress!("wrote {path}");
 }
 

@@ -1,152 +1,54 @@
-//! Throughput regression gate over `BENCH_kernels.json`.
+//! Regression gate over `BENCH_*.json` bench files.
 //!
-//! The bench harness (`cargo bench -p qce-bench`) writes a JSON summary
-//! of kernel timings. CI keeps a committed baseline; this module diffs a
-//! fresh summary against it and fails when any kernel got slower beyond
-//! a relative threshold (20% by default — see DESIGN.md for why), when a
-//! kernel disappeared, or when a kernel lost the bitwise-identical
-//! serial/parallel guarantee. Kernels that are *new* in the fresh run
-//! never fail the gate; they show up when the baseline is refreshed.
+//! Every bench writer (`cargo bench --bench kernels` and `defenses`,
+//! `qce-serve load`, `sweep run --bench`) emits a
+//! [`BenchFile`](qce_telemetry::bench::BenchFile). CI keeps a committed
+//! baseline per file; this module diffs a fresh file against it and
+//! fails when a baseline metric grew by more than a relative threshold
+//! (20% by default — see DESIGN.md for why) or disappeared. Metrics that
+//! are *new* in the fresh file never fail the gate; they show up when
+//! the baseline is refreshed.
 
-use qce_telemetry::json::{parse, JsonValue};
+use qce_telemetry::bench::BenchFile;
 
-use crate::{HarnessError, Result, Violation};
+use crate::Violation;
 
 /// Default relative slowdown that fails the gate (0.20 = 20%).
 pub const DEFAULT_BENCH_THRESHOLD: f64 = 0.20;
 
-/// One kernel row of `BENCH_kernels.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchEntry {
-    /// Kernel name, e.g. `matmul_128x256x128`.
-    pub name: String,
-    /// Serial wall time per rep, milliseconds.
-    pub serial_ms: f64,
-    /// Parallel wall time per rep, milliseconds.
-    pub parallel_ms: f64,
-    /// Forced-scalar SIMD wall time per rep, milliseconds (absent in
-    /// pre-SIMD bench outputs).
-    pub scalar_ms: Option<f64>,
-    /// Detected-SIMD wall time per rep, milliseconds (absent in
-    /// pre-SIMD bench outputs).
-    pub simd_ms: Option<f64>,
-    /// Whether serial and parallel outputs matched bit for bit.
-    pub bitwise_identical: bool,
-    /// Whether forced-scalar and detected-SIMD outputs matched bit for
-    /// bit (`None` in pre-SIMD bench outputs).
-    pub simd_bitwise_identical: Option<bool>,
-}
-
-/// Parses the `kernels` array out of a `BENCH_kernels.json` document.
-///
-/// # Errors
-///
-/// [`HarnessError::Spec`] naming the malformed field.
-pub fn parse_bench(body: &str) -> Result<Vec<BenchEntry>> {
-    let doc = parse(body).map_err(|e| HarnessError::spec(format!("bench JSON: {e}")))?;
-    let Some(JsonValue::Arr(kernels)) = doc.get("kernels") else {
-        return Err(HarnessError::spec(
-            "bench JSON has no \"kernels\" array — was it written by `cargo bench -p qce-bench`?",
-        ));
-    };
-    let mut out = Vec::with_capacity(kernels.len());
-    for kernel in kernels {
-        let name = kernel
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| HarnessError::spec("bench kernel entry without a \"name\" string"))?
-            .to_string();
-        let num = |field: &str| {
-            kernel
-                .get(field)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| {
-                    HarnessError::spec(format!("bench kernel {name:?}: missing number {field:?}"))
-                })
-        };
-        out.push(BenchEntry {
-            serial_ms: num("serial_ms")?,
-            parallel_ms: num("parallel_ms")?,
-            scalar_ms: kernel.get("scalar_ms").and_then(JsonValue::as_f64),
-            simd_ms: kernel.get("simd_ms").and_then(JsonValue::as_f64),
-            bitwise_identical: matches!(
-                kernel.get("bitwise_identical"),
-                Some(JsonValue::Bool(true))
-            ),
-            simd_bitwise_identical: match kernel.get("simd_bitwise_identical") {
-                Some(JsonValue::Bool(b)) => Some(*b),
-                _ => None,
-            },
-            name,
-        });
-    }
-    Ok(out)
-}
-
-/// Gates `fresh` against `baseline`: every baseline kernel must still
-/// exist, must not have regressed by more than `threshold` (relative,
-/// on both serial and parallel time), and must still be bitwise
-/// identical if the baseline was. Returns every violation (empty =
-/// pass).
+/// Gates `fresh` against `baseline`: every baseline metric must still
+/// exist and must not have grown by more than `threshold` (relative).
+/// Returns every violation (empty = pass).
 #[must_use]
-pub fn bench_gate(fresh: &[BenchEntry], baseline: &[BenchEntry], threshold: f64) -> Vec<Violation> {
+pub fn bench_gate(fresh: &BenchFile, baseline: &BenchFile, threshold: f64) -> Vec<Violation> {
     let mut out = Vec::new();
-    for base in baseline {
-        let Some(now) = fresh.iter().find(|k| k.name == base.name) else {
+    for (name, base) in &baseline.metrics {
+        let location = format!("metric {name:?}");
+        let Some(now) = fresh.metrics.get(name) else {
             out.push(Violation {
-                location: format!("kernel {:?}", base.name),
+                location,
                 detail: "present in baseline but missing from fresh bench output".to_string(),
             });
             continue;
         };
-        // Scalar/SIMD pairs gate only when the baseline carries them:
-        // a baseline blessed before the SIMD overhaul simply has no pair
-        // to regress against, and a fresh run that *dropped* a pair the
-        // baseline has is flagged as a missing measurement.
-        let mut timed = vec![
-            ("serial_ms", Some(base.serial_ms), Some(now.serial_ms)),
-            ("parallel_ms", Some(base.parallel_ms), Some(now.parallel_ms)),
-        ];
-        if base.scalar_ms.is_some() {
-            timed.push(("scalar_ms", base.scalar_ms, now.scalar_ms));
-            timed.push(("simd_ms", base.simd_ms, now.simd_ms));
+        // A zero baseline (from a degenerate run) can't support a
+        // meaningful relative gate.
+        if base.value <= 0.0 {
+            continue;
         }
-        for (which, base_ms, now_ms) in timed {
-            let Some(base_ms) = base_ms else { continue };
-            let Some(now_ms) = now_ms else {
-                out.push(Violation {
-                    location: format!("kernel {:?} {which}", base.name),
-                    detail: "measured in baseline but missing from fresh bench output".to_string(),
-                });
-                continue;
-            };
-            // Sub-threshold baselines (or zero, from a degenerate run)
-            // can't support a meaningful relative gate.
-            if base_ms <= 0.0 {
-                continue;
-            }
-            let ratio = now_ms / base_ms;
-            if ratio > 1.0 + threshold {
-                out.push(Violation {
-                    location: format!("kernel {:?} {which}", base.name),
-                    detail: format!(
-                        "{base_ms:.4} ms -> {now_ms:.4} ms ({:+.1}% > allowed +{:.0}%)",
-                        (ratio - 1.0) * 100.0,
-                        threshold * 100.0
-                    ),
-                });
-            }
-        }
-        if base.bitwise_identical && !now.bitwise_identical {
+        let ratio = now.value / base.value;
+        if ratio > 1.0 + threshold {
             out.push(Violation {
-                location: format!("kernel {:?}", base.name),
-                detail: "serial/parallel outputs are no longer bitwise identical".to_string(),
-            });
-        }
-        if base.simd_bitwise_identical == Some(true) && now.simd_bitwise_identical != Some(true) {
-            out.push(Violation {
-                location: format!("kernel {:?}", base.name),
-                detail: "scalar/SIMD outputs are no longer bitwise identical".to_string(),
+                location,
+                detail: format!(
+                    "{:.4} {} -> {:.4} {} ({:+.1}% > allowed +{:.0}%)",
+                    base.value,
+                    base.unit,
+                    now.value,
+                    now.unit,
+                    (ratio - 1.0) * 100.0,
+                    threshold * 100.0
+                ),
             });
         }
     }
@@ -157,155 +59,127 @@ pub fn bench_gate(fresh: &[BenchEntry], baseline: &[BenchEntry], threshold: f64)
 mod tests {
     use super::*;
 
-    fn entry(name: &str, serial_ms: f64, parallel_ms: f64) -> BenchEntry {
-        BenchEntry {
-            name: name.to_string(),
-            serial_ms,
-            parallel_ms,
-            scalar_ms: None,
-            simd_ms: None,
-            bitwise_identical: true,
-            simd_bitwise_identical: None,
+    fn file(metrics: &[(&str, f64)]) -> BenchFile {
+        let mut file = BenchFile::new("kernels");
+        for &(name, value) in metrics {
+            file.insert(name, value, "ms");
         }
-    }
-
-    fn simd_entry(name: &str, scalar_ms: f64, simd_ms: f64) -> BenchEntry {
-        BenchEntry {
-            scalar_ms: Some(scalar_ms),
-            simd_ms: Some(simd_ms),
-            simd_bitwise_identical: Some(true),
-            ..entry(name, 1.0, 1.0)
-        }
+        file
     }
 
     #[test]
     fn parses_the_real_bench_schema() {
         let body = r#"{
           "bench": "kernels",
-          "threads": {"serial": 1, "parallel": 4},
-          "kernels": [
-            {"name": "matmul", "flops": 8, "serial_ms": 0.5, "parallel_ms": 0.2,
-             "serial_gflops": 1.0, "bitwise_identical": true},
-            {"name": "kmeans", "flops": 0, "serial_ms": 9.0, "parallel_ms": 8.0,
-             "bitwise_identical": false}
-          ]
+          "metrics": {
+            "matmul.threads1_ms": {"value": 0.5, "unit": "ms"},
+            "matmul.threads4_ms": {"value": 0.2, "unit": "ms"},
+            "matmul.scalar_ms": {"value": 0.31, "unit": "ms"},
+            "matmul.simd_ms": {"value": 0.16, "unit": "ms"},
+            "kmeans.threads1_ms": {"value": 9.0, "unit": "ms"}
+          }
         }"#;
-        let kernels = parse_bench(body).unwrap();
-        assert_eq!(kernels.len(), 2);
-        assert_eq!(kernels[0].name, "matmul");
-        assert!(kernels[0].bitwise_identical);
-        assert!(!kernels[1].bitwise_identical);
-        assert_eq!(kernels[1].serial_ms, 9.0);
+        let parsed = BenchFile::parse(body).unwrap();
+        assert_eq!(parsed.bench, "kernels");
+        assert_eq!(parsed.metrics.len(), 5);
+        assert_eq!(parsed.metrics["kmeans.threads1_ms"].value, 9.0);
+        assert_eq!(parsed.metrics["matmul.simd_ms"].value, 0.16);
+        assert_eq!(parsed.metrics["matmul.scalar_ms"].unit, "ms");
+        assert!(bench_gate(&parsed, &parsed, DEFAULT_BENCH_THRESHOLD).is_empty());
     }
 
     #[test]
     fn malformed_bench_json_is_rejected() {
-        assert!(parse_bench("{}").is_err());
-        assert!(parse_bench(r#"{"kernels":[{"serial_ms":1}]}"#).is_err());
-        assert!(parse_bench(r#"{"kernels":[{"name":"x","serial_ms":"fast"}]}"#).is_err());
+        assert!(BenchFile::parse("{}").is_err());
+        assert!(BenchFile::parse(r#"{"bench":"k","metrics":{"x":{"unit":"ms"}}}"#).is_err());
+        assert!(
+            BenchFile::parse(r#"{"bench":"k","metrics":{"x":{"value":"fast","unit":"ms"}}}"#)
+                .is_err()
+        );
     }
 
     #[test]
     fn within_threshold_passes_beyond_fails() {
-        let baseline = vec![entry("matmul", 1.0, 0.5)];
-        assert!(bench_gate(&[entry("matmul", 1.19, 0.59)], &baseline, 0.20).is_empty());
-        let v = bench_gate(&[entry("matmul", 1.3, 0.5)], &baseline, 0.20);
+        let baseline = file(&[("matmul.threads1_ms", 1.0), ("matmul.threads4_ms", 0.5)]);
+        let near = file(&[("matmul.threads1_ms", 1.19), ("matmul.threads4_ms", 0.59)]);
+        assert!(bench_gate(&near, &baseline, 0.20).is_empty());
+        let slow = file(&[("matmul.threads1_ms", 1.3), ("matmul.threads4_ms", 0.5)]);
+        let v = bench_gate(&slow, &baseline, 0.20);
         assert_eq!(v.len(), 1);
-        assert!(v[0].to_string().contains("serial_ms"), "{}", v[0]);
+        assert!(v[0].to_string().contains("matmul.threads1_ms"), "{}", v[0]);
     }
 
     #[test]
     fn faster_is_always_fine() {
-        let baseline = vec![entry("matmul", 1.0, 0.5)];
-        assert!(bench_gate(&[entry("matmul", 0.1, 0.05)], &baseline, 0.20).is_empty());
+        let baseline = file(&[("matmul.threads1_ms", 1.0), ("matmul.threads4_ms", 0.5)]);
+        let fast = file(&[("matmul.threads1_ms", 0.1), ("matmul.threads4_ms", 0.05)]);
+        assert!(bench_gate(&fast, &baseline, 0.20).is_empty());
     }
 
     #[test]
     fn missing_kernel_fails_new_kernel_does_not() {
-        let baseline = vec![entry("matmul", 1.0, 0.5)];
-        let fresh = vec![entry("conv", 1.0, 0.5)];
+        let baseline = file(&[("matmul.threads1_ms", 1.0)]);
+        let fresh = file(&[("conv.threads1_ms", 1.0)]);
         let v = bench_gate(&fresh, &baseline, 0.20);
         assert_eq!(v.len(), 1);
         assert!(v[0].to_string().contains("missing"), "{}", v[0]);
     }
 
     #[test]
-    fn losing_bitwise_identity_fails() {
-        let baseline = vec![entry("matmul", 1.0, 0.5)];
-        let mut fresh = vec![entry("matmul", 1.0, 0.5)];
-        fresh[0].bitwise_identical = false;
-        let v = bench_gate(&fresh, &baseline, 0.20);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].to_string().contains("bitwise"), "{}", v[0]);
-    }
-
-    #[test]
     fn zero_baseline_times_are_not_gated() {
-        let baseline = vec![entry("warmup", 0.0, 0.0)];
-        assert!(bench_gate(&[entry("warmup", 5.0, 5.0)], &baseline, 0.20).is_empty());
-    }
-
-    #[test]
-    fn parses_scalar_simd_pairs_when_present() {
-        let body = r#"{
-          "kernels": [
-            {"name": "matmul", "serial_ms": 0.16, "parallel_ms": 0.16,
-             "scalar_ms": 0.31, "simd_ms": 0.16, "simd_level": "avx2",
-             "bitwise_identical": true, "simd_bitwise_identical": true},
-            {"name": "legacy", "serial_ms": 1.0, "parallel_ms": 1.0,
-             "bitwise_identical": true}
-          ]
-        }"#;
-        let kernels = parse_bench(body).unwrap();
-        assert_eq!(kernels[0].scalar_ms, Some(0.31));
-        assert_eq!(kernels[0].simd_ms, Some(0.16));
-        assert_eq!(kernels[0].simd_bitwise_identical, Some(true));
-        assert_eq!(kernels[1].scalar_ms, None);
-        assert_eq!(kernels[1].simd_bitwise_identical, None);
+        let baseline = file(&[("warmup.threads1_ms", 0.0)]);
+        let fresh = file(&[("warmup.threads1_ms", 5.0)]);
+        assert!(bench_gate(&fresh, &baseline, 0.20).is_empty());
     }
 
     #[test]
     fn simd_pair_regressions_are_gated() {
-        let baseline = vec![simd_entry("matmul", 0.30, 0.16)];
+        let baseline = file(&[("matmul.scalar_ms", 0.30), ("matmul.simd_ms", 0.16)]);
         // Within threshold on every leg: pass.
-        assert!(bench_gate(&[simd_entry("matmul", 0.33, 0.18)], &baseline, 0.20).is_empty());
+        let near = file(&[("matmul.scalar_ms", 0.33), ("matmul.simd_ms", 0.18)]);
+        assert!(bench_gate(&near, &baseline, 0.20).is_empty());
         // SIMD leg regressed past the band: fail, naming simd_ms.
-        let v = bench_gate(&[simd_entry("matmul", 0.30, 0.25)], &baseline, 0.20);
+        let v = bench_gate(
+            &file(&[("matmul.scalar_ms", 0.30), ("matmul.simd_ms", 0.25)]),
+            &baseline,
+            0.20,
+        );
         assert_eq!(v.len(), 1);
         assert!(v[0].to_string().contains("simd_ms"), "{}", v[0]);
         // Scalar leg regressed: fail, naming scalar_ms.
-        let v = bench_gate(&[simd_entry("matmul", 0.45, 0.16)], &baseline, 0.20);
+        let v = bench_gate(
+            &file(&[("matmul.scalar_ms", 0.45), ("matmul.simd_ms", 0.16)]),
+            &baseline,
+            0.20,
+        );
         assert_eq!(v.len(), 1);
         assert!(v[0].to_string().contains("scalar_ms"), "{}", v[0]);
     }
 
     #[test]
     fn dropping_a_measured_pair_fails() {
-        let baseline = vec![simd_entry("matmul", 0.30, 0.16)];
-        let mut fresh = simd_entry("matmul", 0.30, 0.16);
-        fresh.scalar_ms = None;
-        fresh.simd_ms = None;
-        let v = bench_gate(&[fresh], &baseline, 0.20);
+        let baseline = file(&[
+            ("matmul.threads1_ms", 1.0),
+            ("matmul.scalar_ms", 0.30),
+            ("matmul.simd_ms", 0.16),
+        ]);
+        let fresh = file(&[("matmul.threads1_ms", 1.0)]);
+        let v = bench_gate(&fresh, &baseline, 0.20);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|x| x.to_string().contains("missing")));
     }
 
     #[test]
-    fn losing_simd_bitwise_identity_fails() {
-        let baseline = vec![simd_entry("matmul", 0.30, 0.16)];
-        let mut fresh = simd_entry("matmul", 0.30, 0.16);
-        fresh.simd_bitwise_identical = Some(false);
-        let v = bench_gate(&[fresh], &baseline, 0.20);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].to_string().contains("scalar/SIMD"), "{}", v[0]);
-    }
-
-    #[test]
     fn pre_simd_baseline_does_not_gate_pairs() {
-        // Baseline without pairs gates nothing pair-related, even when
-        // the fresh run carries (arbitrarily slow) pair measurements.
-        let baseline = vec![entry("matmul", 1.0, 1.0)];
-        let fresh = vec![simd_entry("matmul", 1.0, 99.0)];
+        // A baseline recorded before the scalar/SIMD legs existed gates
+        // nothing about them, even when the fresh run carries
+        // (arbitrarily slow) leg measurements.
+        let baseline = file(&[("matmul.threads1_ms", 1.0)]);
+        let fresh = file(&[
+            ("matmul.threads1_ms", 1.0),
+            ("matmul.scalar_ms", 1.0),
+            ("matmul.simd_ms", 99.0),
+        ]);
         assert!(bench_gate(&fresh, &baseline, 0.20).is_empty());
     }
 }

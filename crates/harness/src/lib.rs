@@ -21,9 +21,9 @@
 //!    epsilon-banded for floats (see [`Tolerances`]) — and fails on any
 //!    violation. `bless` regenerates the goldens; `bless` followed by
 //!    `check` is a fixed point.
-//! 4. `bench-gate` compares a fresh `BENCH_kernels.json` against a
-//!    committed baseline and fails on a throughput regression beyond
-//!    the configured threshold (20% by default).
+//! 4. `bench-gate` compares a fresh `BENCH_*.json` bench file against
+//!    a committed baseline and fails on a regression of any metric
+//!    beyond the configured threshold (20% by default).
 //!
 //! The `harness` binary wires these into CI; see the README
 //! "Conformance" section for the workflow and the tolerance table.
@@ -53,7 +53,7 @@ mod report;
 mod runner;
 mod scenario;
 
-pub use bench_gate::{bench_gate, parse_bench, BenchEntry, DEFAULT_BENCH_THRESHOLD};
+pub use bench_gate::{bench_gate, DEFAULT_BENCH_THRESHOLD};
 pub use diff::{diff_reports, Gate, Tolerances, Violation};
 pub use leaderboard::{leaderboard_markdown, report_from_json, DEFENSE_STAGE_PREFIX};
 pub use report::{

@@ -6,7 +6,7 @@
 //! harness run        [--dir conformance] [--scenario NAME]   run + print report JSON
 //! harness bless      [--dir conformance] [--scenario NAME]   regenerate golden artifacts
 //! harness check      [--dir conformance] [--scenario NAME] [--out conformance-out]
-//! harness bench-gate [--fresh BENCH_kernels.json]
+//! harness bench-gate [--fresh BENCH_kernels.json]   gate any BENCH_*.json
 //!                    [--baseline conformance/BENCH_baseline.json] [--threshold 0.20]
 //!                    [--trace-fresh run.jsonl --trace-baseline base.jsonl]
 //! ```
@@ -18,9 +18,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use qce_harness::{
-    bench_gate, diff_reports, leaderboard_markdown, load_scenarios, parse_bench, report_from_json,
-    run_scenario, ConformanceReport, HarnessError, Scenario, Tolerances, Violation,
+    bench_gate, diff_reports, leaderboard_markdown, load_scenarios, report_from_json, run_scenario,
+    ConformanceReport, HarnessError, Scenario, Tolerances, Violation,
 };
+use qce_telemetry::bench::BenchFile;
 
 fn main() -> ExitCode {
     // A warm stage cache would skip pipeline stages and change the
@@ -70,7 +71,7 @@ const USAGE: &str = "usage: harness <init|list|run|bless|check|leaderboard|bench
   bless       run scenarios and (re)write golden artifacts under --dir/golden
   check       run scenarios and diff against goldens; nonzero on any violation
   leaderboard render the defense-sweep reports under --out as a markdown table
-  bench-gate  diff a fresh BENCH_kernels.json against the committed baseline
+  bench-gate  diff a fresh BENCH_*.json bench file against its committed baseline
 options:
   --dir DIR        conformance root (default: conformance)
   --tournament     init: write the tournament scenario set instead of the builtins
@@ -288,13 +289,13 @@ fn cmd_bench_gate(args: &[String]) -> Result<ExitCode, HarnessError> {
     let baseline_path = opts
         .baseline
         .unwrap_or_else(|| opts.dir.join("BENCH_baseline.json"));
-    let fresh = parse_bench(&read(&opts.fresh)?)?;
-    let baseline = parse_bench(&read(&baseline_path)?)?;
+    let fresh = read_bench(&opts.fresh)?;
+    let baseline = read_bench(&baseline_path)?;
     let violations = bench_gate(&fresh, &baseline, opts.threshold);
     if violations.is_empty() {
         eprintln!(
-            "bench-gate: {} kernel(s) within +{:.0}% of baseline",
-            baseline.len(),
+            "bench-gate: {} metric(s) within +{:.0}% of baseline",
+            baseline.metrics.len(),
             opts.threshold * 100.0
         );
         return Ok(ExitCode::SUCCESS);
@@ -342,6 +343,11 @@ fn write_fresh_report(out_dir: &Path, report: &ConformanceReport) -> Result<(), 
     let path = out_dir.join(format!("{}.json", report.scenario));
     std::fs::write(&path, report.to_json() + "\n")
         .map_err(|e| HarnessError::io(format!("writing {}", path.display()), e))
+}
+
+fn read_bench(path: &Path) -> Result<BenchFile, HarnessError> {
+    BenchFile::parse(&read(path)?)
+        .map_err(|e| HarnessError::spec(format!("{}: {e}", path.display())))
 }
 
 fn read(path: &Path) -> Result<String, HarnessError> {

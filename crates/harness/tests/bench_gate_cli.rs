@@ -1,15 +1,20 @@
-//! CLI-level checks of `harness bench-gate`: a failing gate must be
-//! able to *explain itself* — when the caller hands over the baseline
-//! and fresh `QCE_TRACE` streams, the failure output names the specific
-//! span whose time moved, not just the kernel number that tripped.
+//! Checks of `harness bench-gate`: every committed baseline is a bench
+//! file the gate reads, and a failing gate must be able to *explain
+//! itself* — when the caller hands over the baseline and fresh
+//! `QCE_TRACE` streams, the failure output names the specific span whose
+//! time moved, not just the metric that tripped.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use qce_harness::{bench_gate, DEFAULT_BENCH_THRESHOLD};
+use qce_telemetry::bench::BenchFile;
+
 fn bench_json(quantize_ms: f64) -> String {
-    format!(
-        r#"{{"kernels":[{{"name":"quantize","serial_ms":{quantize_ms},"parallel_ms":{quantize_ms},"bitwise_identical":true}}]}}"#
-    )
+    let mut file = BenchFile::new("kernels");
+    file.insert("quantize.threads1_ms", quantize_ms, "ms")
+        .insert("quantize.threads4_ms", quantize_ms, "ms");
+    file.to_json()
 }
 
 /// One root span per label, laid out sequentially; `dur` in microseconds.
@@ -119,4 +124,48 @@ fn unreadable_trace_warns_but_keeps_the_gate_verdict() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every committed `conformance/BENCH_*.json` baseline parses with the
+/// one bench reader and passes the gate against itself, so a baseline
+/// in a stale format cannot land. The per-file counts pin the gated
+/// metrics: a gate that appears or disappears shows up here.
+#[test]
+fn every_committed_baseline_parses_and_gates_against_itself() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../conformance");
+    let mut counts = Vec::new();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_str().unwrap().to_string();
+        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+            continue;
+        }
+        let body = std::fs::read_to_string(&path).unwrap();
+        let file = BenchFile::parse(&body).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            file.to_json(),
+            body,
+            "{name} is not in the writers' rendering"
+        );
+        assert!(
+            bench_gate(&file, &file, DEFAULT_BENCH_THRESHOLD).is_empty(),
+            "{name} fails against itself"
+        );
+        assert!(file.metrics.values().all(|m| m.unit == "ms"), "{name}");
+        counts.push((name, file.bench, file.metrics.len()));
+    }
+    counts.sort();
+    let counts: Vec<(&str, &str, usize)> = counts
+        .iter()
+        .map(|(f, b, n)| (f.as_str(), b.as_str(), *n))
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            ("BENCH_baseline.json", "kernels", 20),
+            ("BENCH_defense_baseline.json", "defenses", 8),
+            ("BENCH_serve_baseline.json", "serve", 6),
+            ("BENCH_sweep_baseline.json", "sweep", 3),
+        ]
+    );
 }

@@ -7,6 +7,8 @@ use std::sync::{Condvar, Mutex};
 use qce_harness::Scenario;
 use qce_telemetry::json::ObjWriter;
 
+use crate::unpoisoned;
+
 /// Lifecycle of a submitted job.
 ///
 /// `Queued → Running → {Done, Failed, Cancelled}`; cancellation can
@@ -88,13 +90,13 @@ pub(crate) struct Job {
 
 impl Job {
     pub fn state(&self) -> JobState {
-        self.core.lock().expect("job core").state
+        unpoisoned(self.core.lock()).state
     }
 
     /// Full status document: id, scenario name, state, priority,
     /// tenants, events so far, and the result/error when terminal.
     pub fn status_json(&self) -> String {
-        let core = self.core.lock().expect("job core");
+        let core = unpoisoned(self.core.lock());
         let mut root = ObjWriter::new();
         root.str("id", &self.id.to_string())
             .str("scenario", &self.scenario.name)

@@ -43,6 +43,8 @@ pub use load::{run_load, LevelStats, LoadConfig, LoadReport};
 pub use scheduler::{Scheduler, SchedulerConfig};
 pub use server::{Server, ServerConfig};
 
+use std::sync::{LockResult, PoisonError};
+
 use qce_telemetry::json::ObjWriter;
 
 /// Environment variable naming the daemon's default listen address
@@ -164,3 +166,13 @@ impl From<std::io::Error> for ServeError {
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ServeError>;
+
+/// The guard of a `lock()`, `wait()` or `into_inner()`, poisoned or
+/// not. A job panic is caught and reported as a failed job, so a panic
+/// while a lock was held must not fail every later request on that
+/// lock. The guarded state (job tables, queue heaps, a job's state and
+/// events) is only changed by single statements, so a poisoned guard
+/// still holds a consistent value.
+pub(crate) fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}

@@ -1,8 +1,8 @@
 //! The load generator: drives a running daemon with tiny scenarios at
-//! several concurrency levels and emits `BENCH_serve.json` in the
-//! bench-gate kernel schema (p50 as `serial_ms`, p99 as
-//! `parallel_ms`), so serving latency regressions gate CI exactly like
-//! compute-kernel regressions do.
+//! several concurrency levels and emits `BENCH_serve.json` as a
+//! [`BenchFile`] (`serve_flow_c<N>.p50_ms`, `.p99_ms`, …), so serving
+//! latency regressions gate CI exactly like compute-kernel regressions
+//! do.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -10,10 +10,11 @@ use std::time::Instant;
 
 use qce::{BandRule, FlowConfig, Grouping, QuantConfig, QuantMethod};
 use qce_harness::{DatasetKind, DatasetSpec, Scenario};
-use qce_telemetry::json::{parse, JsonValue, ObjWriter};
+use qce_telemetry::bench::BenchFile;
+use qce_telemetry::json::{parse, JsonValue};
 
 use crate::http::http_request;
-use crate::{ErrorKind, Result, ServeError};
+use crate::{unpoisoned, ErrorKind, Result, ServeError};
 
 /// Load-run parameters.
 #[derive(Debug, Clone)]
@@ -183,21 +184,21 @@ fn run_level(cfg: &LoadConfig, level_tag: usize, concurrency: usize) -> Result<L
     std::thread::scope(|scope| {
         for _ in 0..concurrency.max(1) {
             scope.spawn(|| loop {
-                let Some(scenario) = work.lock().expect("work queue").pop_front() else {
+                let Some(scenario) = unpoisoned(work.lock()).pop_front() else {
                     return;
                 };
                 match run_one(&cfg.addr, &scenario) {
-                    Ok(ms) => latencies.lock().expect("latencies").push(ms),
-                    Err(e) => failures.lock().expect("failures").push(e),
+                    Ok(ms) => unpoisoned(latencies.lock()).push(ms),
+                    Err(e) => unpoisoned(failures.lock()).push(e),
                 }
             });
         }
     });
-    if let Some(err) = failures.into_inner().expect("failures").into_iter().next() {
+    if let Some(err) = unpoisoned(failures.into_inner()).into_iter().next() {
         return Err(err);
     }
     let total_ms = started.elapsed().as_secs_f64() * 1e3;
-    let mut latencies = latencies.into_inner().expect("latencies");
+    let mut latencies = unpoisoned(latencies.into_inner());
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
     Ok(LevelStats {
         concurrency,
@@ -245,7 +246,9 @@ fn stats_counter(addr: &str, name: &str) -> Result<u64> {
 ///
 /// # Errors
 ///
-/// Any submit/poll failure, or a job ending `failed`/`cancelled`.
+/// Any submit/poll failure, a job ending `failed`/`cancelled`, or a
+/// warm pass that is not served wholly from the stage cache (it wrote
+/// or missed a cache entry, or hit none): [`ErrorKind::Flow`].
 pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport> {
     let mut levels = Vec::with_capacity(cfg.levels.len());
     for &concurrency in &cfg.levels {
@@ -260,67 +263,42 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport> {
     let warm_store_hits = stats_counter(&cfg.addr, "store.hit")?.saturating_sub(hits_before);
     let warm_store_misses = stats_counter(&cfg.addr, "store.miss")?.saturating_sub(misses_before);
     let warm_store_writes = stats_counter(&cfg.addr, "store.write")?.saturating_sub(writes_before);
-    let denom = warm_store_hits + warm_store_misses;
+    if warm_store_writes > 0 || warm_store_misses > 0 || warm_store_hits == 0 {
+        return Err(ServeError::new(
+            ErrorKind::Flow,
+            format!(
+                "warm pass was not replayed from the stage cache: {warm_store_hits} hits, \
+                 {warm_store_misses} misses, {warm_store_writes} writes \
+                 (a fully cached pass hits and never misses or writes)"
+            ),
+        ));
+    }
     Ok(LoadReport {
         levels,
         warm,
         warm_store_hits,
         warm_store_misses,
         warm_store_writes,
-        dedup_hit_rate: if denom > 0 {
-            warm_store_hits as f64 / denom as f64
-        } else {
-            0.0
-        },
+        dedup_hit_rate: warm_store_hits as f64 / (warm_store_hits + warm_store_misses) as f64,
     })
 }
 
-fn level_json(stats: &LevelStats) -> String {
-    let mut doc = ObjWriter::new();
-    doc.uint("concurrency", stats.concurrency as u64)
-        .uint("jobs", stats.jobs as u64)
-        .num("p50_ms", stats.p50_ms)
-        .num("p90_ms", stats.p90_ms)
-        .num("p99_ms", stats.p99_ms)
-        .num("total_ms", stats.total_ms)
-        .num("throughput_jobs_per_s", stats.throughput_jobs_per_s);
-    doc.finish()
-}
-
-fn kernel_json(name: &str, stats: &LevelStats) -> String {
-    let mut doc = ObjWriter::new();
-    doc.str("name", name)
-        .num("serial_ms", stats.p50_ms)
-        .num("parallel_ms", stats.p99_ms)
-        .bool("bitwise_identical", true);
-    doc.finish()
-}
-
 impl LoadReport {
-    /// Renders `BENCH_serve.json`: a `kernels` array in the bench-gate
-    /// schema (one kernel per cold level plus `serve_warm_resubmit`,
-    /// with p50 as `serial_ms` and p99 as `parallel_ms`), plus
-    /// ungated top-level detail blocks.
+    /// The gated latencies as `BENCH_serve.json`: p50 and p99 of every
+    /// cold level (`serve_flow_c<N>`) and of the warm pass
+    /// (`serve_warm_resubmit`).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut kernels: Vec<String> = self
+    pub fn to_bench(&self) -> BenchFile {
+        let mut file = BenchFile::new("serve");
+        let rows = self
             .levels
             .iter()
-            .map(|l| kernel_json(&format!("serve_flow_c{}", l.concurrency), l))
-            .collect();
-        kernels.push(kernel_json("serve_warm_resubmit", &self.warm));
-        let levels: Vec<String> = self.levels.iter().map(level_json).collect();
-        let mut warm = ObjWriter::new();
-        warm.raw("latency", &level_json(&self.warm))
-            .uint("store_hit_delta", self.warm_store_hits)
-            .uint("store_miss_delta", self.warm_store_misses)
-            .uint("store_write_delta", self.warm_store_writes)
-            .num("dedup_hit_rate", self.dedup_hit_rate);
-        let mut root = ObjWriter::new();
-        root.str("bench", "serve")
-            .raw("kernels", &format!("[{}]", kernels.join(",")))
-            .raw("levels", &format!("[{}]", levels.join(",")))
-            .raw("warm", &warm.finish());
-        root.finish()
+            .map(|l| (format!("serve_flow_c{}", l.concurrency), l))
+            .chain([("serve_warm_resubmit".to_string(), &self.warm)]);
+        for (row, stats) in rows {
+            file.insert(format!("{row}.p50_ms"), stats.p50_ms, "ms")
+                .insert(format!("{row}.p99_ms"), stats.p99_ms, "ms");
+        }
+        file
     }
 }

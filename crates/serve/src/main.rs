@@ -131,8 +131,14 @@ fn cmd_load(args: &[String]) -> ExitCode {
     };
     for level in &report.levels {
         println!(
-            "c{}: {} jobs, p50 {:.1} ms, p99 {:.1} ms, {:.2} jobs/s",
-            level.concurrency, level.jobs, level.p50_ms, level.p99_ms, level.throughput_jobs_per_s,
+            "c{}: {} jobs, p50 {:.1} ms, p90 {:.1} ms, p99 {:.1} ms, total {:.1} ms, {:.2} jobs/s",
+            level.concurrency,
+            level.jobs,
+            level.p50_ms,
+            level.p90_ms,
+            level.p99_ms,
+            level.total_ms,
+            level.throughput_jobs_per_s,
         );
     }
     println!(
@@ -143,7 +149,7 @@ fn cmd_load(args: &[String]) -> ExitCode {
         report.warm_store_hits,
         report.warm_store_writes,
     );
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
+    if let Err(e) = std::fs::write(&out, report.to_bench().to_json()) {
         eprintln!("qce-serve load: writing {out}: {e}");
         return ExitCode::FAILURE;
     }

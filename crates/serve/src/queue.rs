@@ -13,6 +13,8 @@
 use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex};
 
+use crate::unpoisoned;
+
 /// Max-heap entry: highest priority first, FIFO within a priority.
 #[derive(Debug, PartialEq, Eq)]
 pub struct QueueEntry<T: Eq> {
@@ -80,7 +82,7 @@ impl<T: Eq> WorkQueue<T> {
     /// Enqueues `item` at `priority`. Returns `false` (dropping the
     /// item) if the queue is closed.
     pub fn push(&self, priority: i64, item: T) -> bool {
-        let mut state = self.state.lock().expect("work queue");
+        let mut state = unpoisoned(self.state.lock());
         if state.closed {
             return false;
         }
@@ -99,7 +101,7 @@ impl<T: Eq> WorkQueue<T> {
     /// Blocks for the next item. `None` means the queue is closed and
     /// fully drained — the worker should exit.
     pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("work queue");
+        let mut state = unpoisoned(self.state.lock());
         loop {
             if let Some(entry) = state.heap.pop() {
                 return Some(entry.item);
@@ -107,21 +109,21 @@ impl<T: Eq> WorkQueue<T> {
             if state.closed {
                 return None;
             }
-            state = self.work.wait(state).expect("work queue");
+            state = unpoisoned(self.work.wait(state));
         }
     }
 
     /// Stops accepting pushes and wakes every blocked [`WorkQueue::pop`];
     /// already-queued items still drain.
     pub fn close(&self) {
-        self.state.lock().expect("work queue").closed = true;
+        unpoisoned(self.state.lock()).closed = true;
         self.work.notify_all();
     }
 
     /// Entries currently queued (racy by nature; for stats only).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.state.lock().expect("work queue").heap.len()
+        unpoisoned(self.state.lock()).heap.len()
     }
 
     /// Whether no entries are queued right now.

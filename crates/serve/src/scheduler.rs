@@ -16,7 +16,7 @@ use qce_telemetry::{counter, fnv1a};
 
 use crate::job::{Job, JobCore, JobState};
 use crate::queue::QueueEntry;
-use crate::{ErrorKind, Result, ServeError};
+use crate::{unpoisoned, ErrorKind, Result, ServeError};
 
 /// Terminal jobs are pruned oldest-first once the table exceeds this,
 /// bounding daemon memory over long uptimes.
@@ -96,7 +96,7 @@ impl Scheduler {
                     .expect("spawn worker"),
             );
         }
-        *sched.workers.lock().expect("workers") = handles;
+        *unpoisoned(sched.workers.lock()) = handles;
         sched
     }
 
@@ -129,7 +129,7 @@ impl Scheduler {
             ));
         }
         let work_key = fnv1a(&scenario.to_json());
-        let mut inner = self.inner.lock().expect("scheduler");
+        let mut inner = unpoisoned(self.inner.lock());
         if inner.shutdown {
             return Err(ServeError::new(
                 ErrorKind::Shutdown,
@@ -140,16 +140,12 @@ impl Scheduler {
         if let Some(&existing) = inner.inflight.get(&work_key) {
             if let Some(job) = inner.jobs.get(&existing).map(Arc::clone) {
                 let attach = {
-                    let core = job.core.lock().expect("job core");
+                    let core = unpoisoned(job.core.lock());
                     !core.tenants.iter().any(|t| t == tenant)
                 };
                 if attach {
                     self.charge_tenant(&mut inner, tenant)?;
-                    job.core
-                        .lock()
-                        .expect("job core")
-                        .tenants
-                        .push(tenant.to_string());
+                    unpoisoned(job.core.lock()).tenants.push(tenant.to_string());
                 }
                 counter("serve.submit").incr(1);
                 counter("serve.dedup").incr(1);
@@ -208,12 +204,7 @@ impl Scheduler {
 
     /// The job with `id`, if retained.
     pub(crate) fn job(&self, id: u64) -> Option<Arc<Job>> {
-        self.inner
-            .lock()
-            .expect("scheduler")
-            .jobs
-            .get(&id)
-            .map(Arc::clone)
+        unpoisoned(self.inner.lock()).jobs.get(&id).map(Arc::clone)
     }
 
     /// Requests cancellation of job `id` and returns its state after
@@ -225,7 +216,7 @@ impl Scheduler {
     ///
     /// `not_found` if no such job is retained.
     pub fn cancel(&self, id: u64) -> Result<JobState> {
-        let mut inner = self.inner.lock().expect("scheduler");
+        let mut inner = unpoisoned(self.inner.lock());
         let job = inner
             .jobs
             .get(&id)
@@ -246,7 +237,7 @@ impl Scheduler {
     /// `(in-flight jobs, quota)` for `tenant`; quota `0` = unlimited.
     #[must_use]
     pub fn tenant_usage(&self, tenant: &str) -> (usize, usize) {
-        let inner = self.inner.lock().expect("scheduler");
+        let inner = unpoisoned(self.inner.lock());
         (
             inner.tenant_inflight.get(tenant).copied().unwrap_or(0),
             self.quota,
@@ -258,7 +249,7 @@ impl Scheduler {
     #[must_use]
     pub fn stats_json(&self) -> String {
         let (queued, running, done, failed, cancelled) = {
-            let inner = self.inner.lock().expect("scheduler");
+            let inner = unpoisoned(self.inner.lock());
             let mut counts = (0u64, 0u64, 0u64, 0u64, 0u64);
             for job in inner.jobs.values() {
                 match job.state() {
@@ -291,7 +282,7 @@ impl Scheduler {
     /// stop at the next stage boundary, and joins the worker pool.
     pub fn shutdown(&self) {
         let queued: Vec<Arc<Job>> = {
-            let mut inner = self.inner.lock().expect("scheduler");
+            let mut inner = unpoisoned(self.inner.lock());
             if inner.shutdown {
                 return;
             }
@@ -314,7 +305,7 @@ impl Scheduler {
         };
         drop(queued);
         self.work.notify_all();
-        let handles = std::mem::take(&mut *self.workers.lock().expect("workers"));
+        let handles = std::mem::take(&mut *unpoisoned(self.workers.lock()));
         for handle in handles {
             let _ = handle.join();
         }
@@ -323,7 +314,7 @@ impl Scheduler {
     fn worker_loop(self: Arc<Self>) {
         loop {
             let job = {
-                let mut inner = self.inner.lock().expect("scheduler");
+                let mut inner = unpoisoned(self.inner.lock());
                 loop {
                     if inner.shutdown {
                         return;
@@ -333,13 +324,13 @@ impl Scheduler {
                             // Skip entries finalized while queued
                             // (cancelled); only Queued jobs run.
                             if job.state() == JobState::Queued {
-                                job.core.lock().expect("job core").state = JobState::Running;
+                                unpoisoned(job.core.lock()).state = JobState::Running;
                                 break job;
                             }
                         }
                         continue;
                     }
-                    inner = self.work.wait(inner).expect("scheduler");
+                    inner = unpoisoned(self.work.wait(inner));
                 }
             };
             self.run_job(&job);
@@ -349,7 +340,7 @@ impl Scheduler {
     fn run_job(&self, job: &Arc<Job>) {
         let started = Instant::now();
         let outcome = fail_on_panic(|| self.drive(job));
-        let mut inner = self.inner.lock().expect("scheduler");
+        let mut inner = unpoisoned(self.inner.lock());
         match outcome {
             Ok(Some(result)) => {
                 finalize(&mut inner, job, |core| {
@@ -417,7 +408,7 @@ impl Scheduler {
                 .str("label", &event.label)
                 .num("wall_ms", event.wall_ms)
                 .bool("skipped", event.skipped);
-            let mut core = job.core.lock().expect("job core");
+            let mut core = unpoisoned(job.core.lock());
             core.events.push(event_json.finish());
             job.cv.notify_all();
         }
@@ -456,7 +447,7 @@ fn finalize(inner: &mut Inner, job: &Arc<Job>, apply: impl FnOnce(&mut JobCore))
     if inner.inflight.get(&job.work_key) == Some(&job.id) {
         inner.inflight.remove(&job.work_key);
     }
-    let mut core = job.core.lock().expect("job core");
+    let mut core = unpoisoned(job.core.lock());
     for tenant in &core.tenants {
         if let Some(n) = inner.tenant_inflight.get_mut(tenant) {
             *n = n.saturating_sub(1);
@@ -517,6 +508,47 @@ fn result_json(scenario: &Scenario, outcome: &qce::FlowOutcome, wall_ms: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+
+    #[test]
+    fn a_poisoned_job_lock_does_not_fail_later_requests() {
+        let server = crate::Server::start(crate::ServerConfig::default()).expect("server start");
+        let addr = server.addr().to_string();
+        let job = Arc::new(Job {
+            id: 1000,
+            priority: 0,
+            work_key: 0,
+            scenario: Scenario::builtin().remove(0),
+            cancel: AtomicBool::new(false),
+            core: Mutex::new(JobCore {
+                state: JobState::Done,
+                events: Vec::new(),
+                result: None,
+                error: None,
+                tenants: vec!["t".to_string()],
+            }),
+            cv: Condvar::new(),
+        });
+        unpoisoned(server.scheduler().inner.lock())
+            .jobs
+            .insert(job.id, Arc::clone(&job));
+        let holder = Arc::clone(&job);
+        let _ = std::thread::spawn(move || {
+            let _core = holder.core.lock();
+            panic!("a panic while the job lock is held");
+        })
+        .join();
+        assert!(job.core.is_poisoned());
+
+        for path in ["/v1/jobs/1000", "/v1/stats"] {
+            let (status, body) =
+                crate::http::http_request(&addr, "GET", path, &[], None).expect(path);
+            assert_eq!(status, 200, "{path}: {body}");
+            qce_telemetry::json::parse(&body).expect(path);
+        }
+        assert_eq!(job.state(), JobState::Done);
+        server.shutdown();
+    }
 
     #[test]
     fn a_panic_becomes_a_flow_error_with_its_text() {

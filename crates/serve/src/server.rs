@@ -15,7 +15,7 @@ use qce_telemetry::json::ObjWriter;
 use crate::http::{read_request, respond_error, respond_json, start_ndjson, Request};
 use crate::job::Job;
 use crate::scheduler::{Scheduler, SchedulerConfig};
-use crate::{ErrorKind, Result, ServeError};
+use crate::{unpoisoned, ErrorKind, Result, ServeError};
 
 /// Server construction parameters.
 #[derive(Debug)]
@@ -124,9 +124,9 @@ impl Server {
     /// Blocks until a client POSTs `/v1/shutdown`.
     pub fn wait_for_shutdown_request(&self) {
         let (flag, cv) = &*self.shutdown_signal;
-        let mut requested = flag.lock().expect("shutdown signal");
+        let mut requested = unpoisoned(flag.lock());
         while !*requested {
-            requested = cv.wait(requested).expect("shutdown signal");
+            requested = unpoisoned(cv.wait(requested));
         }
     }
 
@@ -189,7 +189,7 @@ fn handle_connection(
         ("POST", ["v1", "shutdown"]) => {
             respond_json(&mut stream, 200, "{\"ok\":true}");
             let (flag, cv) = &**shutdown_signal;
-            *flag.lock().expect("shutdown signal") = true;
+            *unpoisoned(flag.lock()) = true;
             cv.notify_all();
             Ok(())
         }
@@ -282,7 +282,7 @@ fn handle_stream(stream: &mut TcpStream, scheduler: &Arc<Scheduler>, id: u64) ->
 /// or the job turns terminal; returns the new lines and, when
 /// terminal, the final state line.
 fn wait_for_progress(job: &Arc<Job>, cursor: &mut usize) -> (Vec<String>, Option<String>) {
-    let mut core = job.core.lock().expect("job core");
+    let mut core = unpoisoned(job.core.lock());
     loop {
         if core.events.len() > *cursor || core.state.is_terminal() {
             let lines: Vec<String> = core.events[*cursor..].to_vec();
@@ -306,10 +306,6 @@ fn wait_for_progress(job: &Arc<Job>, cursor: &mut usize) -> (Vec<String>, Option
             });
             return (lines, terminal);
         }
-        let (guard, _) = job
-            .cv
-            .wait_timeout(core, Duration::from_millis(200))
-            .expect("job core");
-        core = guard;
+        (core, _) = unpoisoned(job.cv.wait_timeout(core, Duration::from_millis(200)));
     }
 }

@@ -1,6 +1,6 @@
 //! End-to-end daemon tests over the real socket: submit/stream/cancel
-//! lifecycle, in-flight dedup, warm cache replay, quotas, and typed
-//! errors.
+//! lifecycle, in-flight dedup, warm cache replay, quotas, typed errors,
+//! and the load generator's bench file.
 //!
 //! Telemetry counters are process-global, so every test takes the
 //! shared lock and asserts on counter *deltas*.
@@ -11,10 +11,11 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use qce::{BandRule, FlowConfig, Grouping, QuantConfig, QuantMethod};
-use qce_harness::{DatasetKind, DatasetSpec, Scenario};
+use qce_harness::{bench_gate, DatasetKind, DatasetSpec, Scenario, DEFAULT_BENCH_THRESHOLD};
 use qce_serve::http::http_request;
-use qce_serve::{Server, ServerConfig};
+use qce_serve::{run_load, LoadConfig, Server, ServerConfig};
 use qce_store::StageCache;
+use qce_telemetry::bench::BenchFile;
 use qce_telemetry::json::{parse, JsonValue};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -396,6 +397,45 @@ fn deeply_nested_body_is_a_typed_error_not_a_crash() {
     );
     let (status, _) = http_request(&addr, "GET", "/healthz", &[], None).expect("healthz");
     assert_eq!(status, 200);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(cache_dir);
+}
+
+// The load generator end to end: its bench file reads back through the
+// one bench reader and passes the harness gate against itself, and the
+// warm pass replays wholly from the stage cache.
+#[test]
+fn load_run_writes_a_bench_file_the_gate_accepts() {
+    let _guard = serial();
+    let (server, addr, cache_dir) = start_server("load", 2, 0);
+
+    let report = run_load(&LoadConfig {
+        addr,
+        jobs: 2,
+        levels: vec![1, 2],
+        seed_base: 31_000,
+    })
+    .expect("load run");
+    assert_eq!(report.warm_store_writes, 0, "warm pass recomputed a stage");
+    assert_eq!(report.warm_store_misses, 0);
+    assert!(report.warm_store_hits > 0);
+
+    let file = BenchFile::parse(&report.to_bench().to_json()).expect("bench file");
+    assert_eq!(file.bench, "serve");
+    let names: Vec<&str> = file.metrics.keys().map(String::as_str).collect();
+    assert_eq!(
+        names,
+        [
+            "serve_flow_c1.p50_ms",
+            "serve_flow_c1.p99_ms",
+            "serve_flow_c2.p50_ms",
+            "serve_flow_c2.p99_ms",
+            "serve_warm_resubmit.p50_ms",
+            "serve_warm_resubmit.p99_ms",
+        ]
+    );
+    assert!(bench_gate(&file, &file, DEFAULT_BENCH_THRESHOLD).is_empty());
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(cache_dir);

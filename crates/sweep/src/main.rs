@@ -21,8 +21,9 @@ use std::time::Instant;
 
 use qce_store::StageCache;
 use qce_sweep::{
-    merge_partials, parse_grid, partial_json, run_cells, CellRun, ExecOptions, Grid, SweepError,
+    merge_partials, parse_grid, partial_json, run_cells, ExecOptions, Grid, SweepError,
 };
+use qce_telemetry::bench::BenchFile;
 use qce_telemetry::json::ObjWriter;
 
 fn main() -> ExitCode {
@@ -65,8 +66,8 @@ options:
   --cache DIR      stage cache root (default: $QCE_CACHE when set)
   --limit N        run only the first N queued cells, then stop —
                    deterministic stand-in for a mid-run kill
-  --bench FILE     run: also write cell-timing stats in the
-                   BENCH_kernels.json schema for `harness bench-gate`
+  --bench FILE     run: also write cell-timing stats as a bench file
+                   for `harness bench-gate`
   --report FILE    merge: report path (default: --out/SweepReport.json)
   --markdown FILE  merge: also render the leaderboard markdown";
 
@@ -260,7 +261,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, SweepError> {
     println!("{}", stats.finish());
 
     if let Some(bench_path) = &opts.bench {
-        write_bench(bench_path, &grid, &runs, &walls, wall_ms)?;
+        write_bench(bench_path, &walls, wall_ms)?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -324,45 +325,16 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// Writes cell-timing stats in the `BENCH_kernels.json` schema so
-/// `harness bench-gate` can diff them against a committed baseline.
-/// Timings are observational; the `bitwise_identical` bit reports the
-/// sweep's real determinism contract as always-true (the report digest
-/// gate in CI is what actually proves it).
-fn write_bench(
-    path: &Path,
-    grid: &Grid,
-    runs: &[CellRun],
-    walls: &[f64],
-    wall_ms: f64,
-) -> Result<(), SweepError> {
-    let kernel = |name: &str, ms: f64| {
-        let mut k = ObjWriter::new();
-        k.str("name", name)
-            .num("serial_ms", ms)
-            .num("parallel_ms", ms)
-            .bool("bitwise_identical", true);
-        k.finish()
-    };
-    let kernels = [
-        kernel("sweep_cell_p50", percentile(walls, 0.50)),
-        kernel("sweep_cell_p99", percentile(walls, 0.99)),
-        kernel("sweep_total", wall_ms),
-    ];
-    let mut w = ObjWriter::new();
-    w.str("bench", "sweep")
-        .str("grid", &grid.name)
-        .uint("cells", runs.len() as u64)
-        .num(
-            "cells_per_sec",
-            if wall_ms > 0.0 {
-                runs.len() as f64 / (wall_ms / 1e3)
-            } else {
-                0.0
-            },
-        )
-        .raw("kernels", &format!("[{}]", kernels.join(",")));
-    std::fs::write(path, w.finish() + "\n")
+/// Writes the cell-timing stats as a bench file (`sweep_cell.p50_ms`,
+/// `sweep_cell.p99_ms`, `sweep_total.wall_ms`) so `harness bench-gate`
+/// can diff them against a committed baseline. The run's stats line
+/// carries the ungated context (grid, cells, cells/s).
+fn write_bench(path: &Path, walls: &[f64], wall_ms: f64) -> Result<(), SweepError> {
+    let mut file = BenchFile::new("sweep");
+    file.insert("sweep_cell.p50_ms", percentile(walls, 0.50), "ms")
+        .insert("sweep_cell.p99_ms", percentile(walls, 0.99), "ms")
+        .insert("sweep_total.wall_ms", wall_ms, "ms");
+    std::fs::write(path, file.to_json())
         .map_err(|e| SweepError::io(format!("writing {}", path.display()), e))
 }
 

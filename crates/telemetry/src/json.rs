@@ -1,5 +1,5 @@
-//! Minimal JSON emit/parse used by the JSONL trace sink and the run
-//! manifest.
+//! Minimal JSON emit/parse used by the JSONL trace sink, the run
+//! manifest and [`bench`](crate::bench) files.
 //!
 //! The workspace's vendored `serde` is a marker-trait stub (see
 //! `vendor/README.md`), so the telemetry layer carries its own writer and

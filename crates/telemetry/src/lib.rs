@@ -23,7 +23,8 @@
 //!
 //! The crate is std-only by design: it sits below every other workspace
 //! crate, and the vendored `serde` is a marker stub, so [`json`] carries
-//! a minimal writer/parser of its own.
+//! a minimal writer/parser of its own. [`bench`] holds the one
+//! `BENCH_*.json` format on top of it.
 
 // `deny` (not `forbid`) so the one unsafe island — the `GlobalAlloc`
 // impl in `alloc` — can opt back in with a module-level `allow`,
@@ -32,6 +33,7 @@
 #![deny(missing_docs)]
 
 pub mod alloc;
+pub mod bench;
 pub mod json;
 mod manifest;
 mod metrics;

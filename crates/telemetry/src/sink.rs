@@ -348,6 +348,7 @@ pub fn log_line(level: Level, msg: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonValue;
 
     #[test]
     fn level_parsing() {
@@ -361,18 +362,29 @@ mod tests {
 
     #[test]
     fn memory_sink_captures_log_events() {
+        // Sinks are process-global and other tests log from their own
+        // threads, so the line is found by its message, not by position.
         let sink = MemorySink::shared();
         add_sink(sink.clone());
         log_line(Level::Off, "machine-only line");
-        let lines = sink.lines();
-        let last = lines.last().expect("captured");
-        let v = crate::json::parse(last).unwrap();
+        let v = sink
+            .lines()
+            .iter()
+            .map(|line| crate::json::parse(line).unwrap())
+            .find(|v| v.get("msg").and_then(JsonValue::as_str) == Some("machine-only line"))
+            .expect("captured");
         assert_eq!(v.get("ev").unwrap().as_str(), Some("log"));
         assert_eq!(v.get("msg").unwrap().as_str(), Some("machine-only line"));
         assert!(v.get("t_us").unwrap().as_u64().is_some());
         assert!(v.get("seq").unwrap().as_u64().is_some());
-        sink.clear();
-        assert!(sink.lines().is_empty());
+
+        // `clear` is checked on a sink no test registers, which nothing
+        // else can write to.
+        let private = MemorySink::default();
+        private.emit_line("{}");
+        assert_eq!(private.lines().len(), 1);
+        private.clear();
+        assert!(private.lines().is_empty());
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub enum Level {
 }
 
 impl Level {
-    /// Stable lowercase name, as accepted by `QCE_SIMD` and reported in
-    /// `BENCH_kernels.json`.
+    /// Stable lowercase name, as accepted by `QCE_SIMD` and reported on
+    /// the kernels bench's progress line.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
