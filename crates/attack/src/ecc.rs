@@ -17,7 +17,6 @@
 //! flip per 7-bit codeword, i.e. any burst shorter than the codeword
 //! count.
 
-use crate::lsb;
 use crate::{AttackError, Result};
 
 /// The error-correcting code protecting an LSB payload.
@@ -198,7 +197,7 @@ pub fn coded_len(payload_len: usize, ecc: &Ecc) -> usize {
 }
 
 /// Expands `payload` into a CRC-guarded, ECC-coded, interleaved byte
-/// stream ready for [`lsb::embed`].
+/// stream ready for [`crate::lsb::embed`].
 ///
 /// # Errors
 ///
@@ -300,38 +299,6 @@ pub fn decode(coded: &[u8], payload_len: usize, ecc: &Ecc) -> Result<(Vec<u8>, E
     ))
 }
 
-/// Embeds an ECC-protected `payload` into the low mantissa bits of
-/// `weights` — [`encode`] piped into [`lsb::embed`].
-///
-/// # Errors
-///
-/// Propagates encoding and capacity errors.
-pub fn embed_protected(
-    weights: &mut [f32],
-    payload: &[u8],
-    bits_per_weight: u32,
-    ecc: &Ecc,
-) -> Result<()> {
-    let coded = encode(payload, ecc)?;
-    lsb::embed(weights, &coded, bits_per_weight)
-}
-
-/// Extracts and error-corrects a payload embedded with
-/// [`embed_protected`].
-///
-/// # Errors
-///
-/// Propagates extraction and capacity errors.
-pub fn extract_protected(
-    weights: &[f32],
-    bits_per_weight: u32,
-    payload_len: usize,
-    ecc: &Ecc,
-) -> Result<(Vec<u8>, EccReport)> {
-    let coded = lsb::extract(weights, bits_per_weight, coded_len(payload_len, ecc))?;
-    decode(&coded, payload_len, ecc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,27 +377,6 @@ mod tests {
         let (back, report) = decode(&coded, data.len(), &ecc).unwrap();
         assert_ne!(back, data);
         assert!(!report.crc_ok);
-    }
-
-    #[test]
-    fn protected_lsb_survives_a_weight_burst() {
-        let data = payload(20);
-        let ecc = Ecc::Repetition { copies: 3 };
-        let mut rng = qce_tensor::init::seeded_rng(5);
-        let mut weights: Vec<f32> = (0..4096)
-            .map(|_| qce_tensor::init::standard_normal(&mut rng) * 0.1)
-            .collect();
-        embed_protected(&mut weights, &data, 2, &ecc).unwrap();
-        // Zero a burst of carrier weights (e.g. a pruned filter): each
-        // destroyed weight wipes its 2 payload bits.
-        for w in weights[30..80].iter_mut() {
-            *w = 0.0;
-        }
-        let (back, report) = extract_protected(&weights, 2, data.len(), &ecc).unwrap();
-        assert_eq!(back, data);
-        assert!(report.crc_ok);
-        // The raw channel really was damaged.
-        assert!(report.corrected_bits > 0);
     }
 
     #[test]

@@ -47,11 +47,9 @@ mod error;
 mod layout;
 mod regularizer;
 
-pub mod capacity;
 pub mod correlation;
 pub mod ecc;
 pub mod lsb;
-pub mod payload;
 pub mod sign;
 pub mod statsign;
 

@@ -207,8 +207,6 @@ pub struct FlowConfig {
     /// quantization and *before* the final evaluation (`None` releases
     /// the model untouched — the undefended baseline).
     pub defense: Option<DefensePlan>,
-    /// Print progress to stderr.
-    pub verbose: bool,
 }
 
 impl FlowConfig {
@@ -235,7 +233,6 @@ impl FlowConfig {
             channel: EncodingChannel::Correlation,
             quant: Some(QuantConfig::new(QuantMethod::TargetCorrelated, 4)),
             defense: None,
-            verbose: false,
         }
     }
 

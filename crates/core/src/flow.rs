@@ -422,7 +422,6 @@ impl TrainedAttack {
                 lr: qcfg.finetune_lr,
                 momentum: 0.9,
                 shuffle_seed: self.config.seed.wrapping_add(4),
-                verbose: self.config.verbose,
             };
             let mut corr_reg: Option<CorrelationRegularizer> = None;
             let mut stat_reg: Option<StatSignRegularizer> = None;

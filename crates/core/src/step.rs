@@ -313,13 +313,10 @@ impl FlowMachine {
             .ok_or_else(|| FlowError::InvalidConfig {
                 reason: "select stage already consumed the dataset".to_string(),
             })?;
-        qce_telemetry::log_line(
-            self.checkpoints.level,
-            &format!(
-                "[flow] compute backend: {} thread(s) (override with QCE_THREADS; \
-                 results are identical for any thread count)",
-                Pool::global().threads()
-            ),
+        qce_telemetry::debug!(
+            "[flow] compute backend: {} thread(s) (override with QCE_THREADS; \
+             results are identical for any thread count)",
+            Pool::global().threads()
         );
         let first = dataset.images().first().ok_or(FlowError::InvalidConfig {
             reason: "empty dataset".to_string(),
@@ -514,10 +511,8 @@ impl FlowMachine {
                 total_epochs: cfg.epochs,
                 min_lr: cfg.lr * 0.05,
             },
-            optimizer: qce_nn::OptimizerKind::Sgd,
             shuffle_seed: cfg.seed.wrapping_add(3),
             guard: qce_nn::DivergenceGuard::default(),
-            verbose: cfg.verbose,
         });
         let training = self.checkpoints.memo(
             "train",

@@ -28,16 +28,13 @@ pub(crate) const STAGE_REPORT: u16 = section_kind::DOWNSTREAM_BASE;
 /// stage's checkpoint payload).
 pub(crate) const FAULTED_REPORT: u16 = section_kind::DOWNSTREAM_BASE + 1;
 
-/// How a flow's stages are checkpointed: the stage cache (if any), the
-/// key components shared by every stage of one `(config, dataset)` run,
-/// and the log level cache hits are reported at.
+/// How a flow's stages are checkpointed: the stage cache (if any) and the
+/// key components shared by every stage of one `(config, dataset)` run.
 #[derive(Debug)]
 pub(crate) struct Checkpoints {
     cache: Option<StageCache>,
     hash: u64,
     seed: u64,
-    /// The flow's log level (`Progress` for verbose configs).
-    pub(crate) level: qce_telemetry::Level,
 }
 
 impl Checkpoints {
@@ -46,11 +43,6 @@ impl Checkpoints {
             cache,
             hash: flow_cache_hash(config, dataset),
             seed: config.seed,
-            level: if config.verbose {
-                qce_telemetry::Level::Progress
-            } else {
-                qce_telemetry::Level::Debug
-            },
         }
     }
 
@@ -81,10 +73,7 @@ impl Checkpoints {
         if let Some(artifact) = cache.load(&key) {
             match load(state, &artifact) {
                 Ok(value) => {
-                    qce_telemetry::log_line(
-                        self.level,
-                        &format!("[flow] stage cache hit: {stage}"),
-                    );
+                    qce_telemetry::debug!("[flow] stage cache hit: {stage}");
                     return Ok(value);
                 }
                 Err(e) => {
@@ -231,8 +220,7 @@ pub(crate) fn faulted_to_bytes(report: &FaultedReport) -> Vec<u8> {
                 w.put_u8(2).put_str(reason);
             }
         }
-        put_opt_f32(&mut w, img.mape);
-        put_opt_f32(&mut w, img.ssim);
+        w.put_opt_f32(img.mape).put_opt_f32(img.ssim);
     }
     w.put_f32(report.mean_confidence);
     w.finish()
@@ -264,8 +252,8 @@ pub(crate) fn faulted_from_bytes(bytes: &[u8]) -> Result<FaultedReport, StoreErr
             target_index,
             group,
             status,
-            mape: opt_f32(&mut r)?,
-            ssim: opt_f32(&mut r)?,
+            mape: r.opt_f32()?,
+            ssim: r.opt_f32()?,
         });
     }
     let mean_confidence = r.f32()?;
@@ -276,24 +264,6 @@ pub(crate) fn faulted_from_bytes(bytes: &[u8]) -> Result<FaultedReport, StoreErr
         images,
         mean_confidence,
     })
-}
-
-fn put_opt_f32(w: &mut ByteWriter, v: Option<f32>) {
-    match v {
-        Some(v) => {
-            w.put_u8(1).put_f32(v);
-        }
-        None => {
-            w.put_u8(0);
-        }
-    }
-}
-
-fn opt_f32(r: &mut ByteReader<'_>) -> Result<Option<f32>, StoreError> {
-    match r.u8()? {
-        0 => Ok(None),
-        _ => Ok(Some(r.f32()?)),
-    }
 }
 
 #[cfg(test)]

@@ -38,7 +38,6 @@ mod dataset;
 mod error;
 mod image;
 
-pub mod augment;
 pub mod io;
 pub mod select;
 pub mod synth;

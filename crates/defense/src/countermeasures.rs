@@ -228,7 +228,6 @@ impl Defense for FinetuneScrub {
             batch_size: ctx.effective_batch_size(),
             lr: self.lr,
             shuffle_seed: rng.next_u64(),
-            verbose: false,
             ..TrainConfig::default()
         };
         Trainer::new(config).fit(net, x, labels, None)?;

@@ -31,19 +31,15 @@ pub const RECOVERY_MAPE_CEILING: f32 = 20.0;
 ///
 /// # Errors
 ///
-/// Dataset synthesis or flow errors, unchanged.
+/// [`HarnessError::Spec`](crate::HarnessError::Spec) when
+/// [`Scenario::validate`] rejects the scenario; dataset synthesis or
+/// flow errors, unchanged.
 pub fn run_scenario(scenario: &Scenario) -> Result<ConformanceReport> {
+    scenario.validate()?;
     qce_telemetry::reset();
     let start = Instant::now();
     let dataset = scenario.dataset.generate()?;
     let flow = AttackFlow::new(scenario.flow.clone());
-
-    if scenario.fault.is_some() && !scenario.defenses.is_empty() {
-        return Err(crate::HarnessError::spec(format!(
-            "scenario {:?} sets both \"fault\" and \"defenses\"; pick one perturbation axis",
-            scenario.name
-        )));
-    }
 
     let arms: Vec<(String, Perturbation)> = match &scenario.fault {
         Some(plan) => vec![("faulted".to_string(), Perturbation::Fault(plan.clone()))],
@@ -159,6 +155,16 @@ fn stage_from_faulted(report: &FaultedReport) -> StageMetrics {
 mod tests {
     use super::*;
     use qce::{FaultedImage, ImageReport, ImageStatus};
+
+    #[test]
+    fn a_defended_flow_with_arms_is_rejected_before_it_runs() {
+        let mut scenario = Scenario::tournament().remove(0);
+        assert!(!scenario.defenses.is_empty());
+        scenario.flow.defense = Some(scenario.defenses[0].1.clone());
+        let err = run_scenario(&scenario).unwrap_err();
+        assert!(matches!(err, crate::HarnessError::Spec { .. }), "{err}");
+        assert!(err.to_string().contains("flow.defense"), "{err}");
+    }
 
     #[test]
     fn stage_metrics_cover_the_gateable_surface() {

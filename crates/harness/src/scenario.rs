@@ -75,7 +75,7 @@ pub struct Scenario {
     pub name: String,
     /// Dataset synthesis parameters.
     pub dataset: DatasetSpec,
-    /// The resolved flow configuration (runs with `verbose` off).
+    /// The resolved flow configuration.
     pub flow: FlowConfig,
     /// Release perturbation applied before the final evaluation
     /// (`None` for clean scenarios).
@@ -111,7 +111,6 @@ impl Scenario {
             band: BandRule::FirstN,
             epochs: 2,
             quant: None,
-            verbose: false,
             ..FlowConfig::tiny()
         };
         let quant = |method, bits| {
@@ -242,7 +241,6 @@ impl Scenario {
             stage_channels: vec![12, 24],
             epochs: 4,
             quant: None,
-            verbose: false,
             ..FlowConfig::tiny()
         };
         let statsign_flow = FlowConfig {
@@ -299,8 +297,7 @@ impl Scenario {
     }
 
     /// Parses a scenario from its JSON spec. Flow fields not present in
-    /// the document keep the [`FlowConfig::tiny`] defaults; `verbose`
-    /// is always forced off so harness output stays machine-readable.
+    /// the document keep the [`FlowConfig::tiny`] defaults.
     ///
     /// # Errors
     ///
@@ -309,8 +306,7 @@ impl Scenario {
         let doc = parse(body).map_err(|e| HarnessError::spec(format!("scenario JSON: {e}")))?;
         let name = req_str(&doc, "name")?;
         let dataset = parse_dataset(req(&doc, "dataset")?)?;
-        let mut flow = parse_flow(req(&doc, "flow")?)?;
-        flow.verbose = false;
+        let flow = parse_flow(req(&doc, "flow")?)?;
         flow.validate()
             .map_err(|e| HarnessError::spec(format!("flow config: {e}")))?;
         let fault = match doc.get("fault") {
@@ -328,11 +324,6 @@ impl Scenario {
             }
             Some(_) => return Err(HarnessError::spec("\"defenses\" must be an array")),
         };
-        if fault.is_some() && !defenses.is_empty() {
-            return Err(HarnessError::spec(
-                "\"fault\" and \"defenses\" are mutually exclusive",
-            ));
-        }
         let tolerance_overrides = match doc.get("tolerances") {
             None | Some(JsonValue::Null) => Vec::new(),
             Some(JsonValue::Obj(map)) => {
@@ -352,14 +343,49 @@ impl Scenario {
             }
             Some(_) => return Err(HarnessError::spec("\"tolerances\" must be an object")),
         };
-        Ok(Scenario {
+        let scenario = Scenario {
             name,
             dataset,
             flow,
             fault,
             defenses,
             tolerance_overrides,
-        })
+        };
+        scenario.validate()?;
+        Ok(scenario)
+    }
+
+    /// Checks that the scenario's perturbations can all run.
+    ///
+    /// `fault` and `defenses` are mutually exclusive: each selects the
+    /// arms run against the trained release, and a scenario has one arm
+    /// axis. A `flow.defense` plan runs only on the plain flow, so it may
+    /// not be combined with either; the arms path would drop it and
+    /// report undefended metrics under a defended name.
+    ///
+    /// # Errors
+    ///
+    /// [`HarnessError::Spec`] naming the conflicting fields.
+    pub fn validate(&self) -> Result<()> {
+        if self.fault.is_some() && !self.defenses.is_empty() {
+            return Err(HarnessError::spec(format!(
+                "scenario {:?}: \"fault\" and \"defenses\" are mutually exclusive",
+                self.name
+            )));
+        }
+        if self.flow.defense.is_some() && (self.fault.is_some() || !self.defenses.is_empty()) {
+            let other = if self.fault.is_some() {
+                "fault"
+            } else {
+                "defenses"
+            };
+            return Err(HarnessError::spec(format!(
+                "scenario {:?}: \"flow.defense\" cannot be combined with \"{other}\"; \
+                 the defense would not run on those arms",
+                self.name
+            )));
+        }
+        Ok(())
     }
 
     /// Renders the scenario back to its JSON spec (the inverse of
@@ -982,7 +1008,6 @@ mod tests {
         assert_eq!(s.name, "mini");
         assert_eq!(s.flow.epochs, 1);
         assert_eq!(s.flow.batch_size, FlowConfig::tiny().batch_size);
-        assert!(!s.flow.verbose);
         assert!(s.fault.is_none());
         assert!(s.defenses.is_empty());
         assert_eq!(s.flow.channel, EncodingChannel::Correlation);
@@ -1079,6 +1104,35 @@ mod tests {
         .unwrap_err()
         .to_string();
         assert!(err.contains("defense plan"), "{err}");
+    }
+
+    #[test]
+    fn flow_defense_with_arms_is_a_spec_error() {
+        let with = |extra: &str| {
+            format!(
+                r#"{{"name":"x",
+                    "dataset":{{"kind":"cifar","size":8,"classes":2,"count":16,"seed":0}},
+                    "flow":{{"defense":{{"seed":11,
+                            "defenses":[{{"kind":"rotation","mode":"permute"}}]}}}},
+                    {extra}}}"#
+            )
+        };
+        for (extra, field) in [
+            (
+                r#""fault":{"seed":1,"faults":[{"kind":"prune","fraction":0.1}]}"#,
+                "fault",
+            ),
+            (
+                r#""defenses":[{"name":"none","seed":0,"defenses":[]}]"#,
+                "defenses",
+            ),
+        ] {
+            let err = Scenario::from_json(&with(extra)).unwrap_err();
+            assert!(matches!(err, HarnessError::Spec { .. }), "{err}");
+            let err = err.to_string();
+            assert!(err.contains("flow.defense"), "{err}");
+            assert!(err.contains(field), "{err}");
+        }
     }
 
     #[test]

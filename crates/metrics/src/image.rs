@@ -26,28 +26,6 @@ pub fn mape_slices(a: &[f32], b: &[f32]) -> f32 {
         / a.len() as f32
 }
 
-/// Peak signal-to-noise ratio in dB for 8-bit images; `f32::INFINITY` for
-/// identical images.
-///
-/// # Panics
-///
-/// Panics if the images differ in pixel count.
-pub fn psnr(original: &Image, reconstructed: &Image) -> f32 {
-    let a = original.to_f32();
-    let b = reconstructed.to_f32();
-    assert_eq!(a.len(), b.len(), "psnr requires equal lengths");
-    let mse: f64 = a
-        .iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| ((x - y) as f64).powi(2))
-        .sum::<f64>()
-        / a.len() as f64;
-    if mse == 0.0 {
-        return f32::INFINITY;
-    }
-    (10.0 * (255.0f64 * 255.0 / mse).log10()) as f32
-}
-
 const SSIM_WINDOW: usize = 8;
 const SSIM_C1: f64 = (0.01 * 255.0) * (0.01 * 255.0);
 const SSIM_C2: f64 = (0.03 * 255.0) * (0.03 * 255.0);
@@ -77,7 +55,7 @@ pub fn ssim(original: &Image, reconstructed: &Image) -> f32 {
     let b = reconstructed.to_f32();
     let mut total = 0.0f64;
     for ch in 0..c {
-        total += ssim_plane(
+        total += ssim_slices(
             &a[ch * plane..(ch + 1) * plane],
             &b[ch * plane..(ch + 1) * plane],
             h,
@@ -87,18 +65,14 @@ pub fn ssim(original: &Image, reconstructed: &Image) -> f32 {
     (total / c as f64) as f32
 }
 
-/// [`ssim`] on two raw single-channel planes of the given geometry.
+/// SSIM of two raw single-channel planes of the given geometry.
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths differ from `height * width`.
-pub fn ssim_slices(a: &[f32], b: &[f32], height: usize, width: usize) -> f32 {
-    assert_eq!(a.len(), height * width);
-    assert_eq!(b.len(), height * width);
-    ssim_plane(a, b, height, width) as f32
-}
-
-fn ssim_plane(a: &[f32], b: &[f32], h: usize, w: usize) -> f64 {
+/// Panics if the slice lengths differ from `h * w`.
+fn ssim_slices(a: &[f32], b: &[f32], h: usize, w: usize) -> f64 {
+    assert_eq!(a.len(), h * w);
+    assert_eq!(b.len(), h * w);
     let win_h = SSIM_WINDOW.min(h);
     let win_w = SSIM_WINDOW.min(w);
     let n_win = ((h - win_h + 1) * (w - win_w + 1)) as f64;
@@ -166,22 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn psnr_identical_is_infinite() {
-        let a = gradient_image(1);
-        assert!(psnr(&a, &a).is_infinite());
-    }
-
-    #[test]
-    fn psnr_decreases_with_noise() {
-        let a = gradient_image(2);
-        let small: Vec<f32> = a.to_f32().iter().map(|&v| v + 2.0).collect();
-        let large: Vec<f32> = a.to_f32().iter().map(|&v| v + 40.0).collect();
-        let b_small = Image::from_f32(&small, 1, 16, 16).unwrap();
-        let b_large = Image::from_f32(&large, 1, 16, 16).unwrap();
-        assert!(psnr(&a, &b_small) > psnr(&a, &b_large));
-    }
-
-    #[test]
     fn ssim_self_is_one() {
         let a = gradient_image(3);
         assert!((ssim(&a, &a) - 1.0).abs() < 1e-6);
@@ -239,7 +197,7 @@ mod tests {
         let a = gradient_image(6);
         let b = gradient_image(9);
         let s1 = ssim(&a, &b);
-        let s2 = ssim_slices(&a.to_f32(), &b.to_f32(), 16, 16);
+        let s2 = ssim_slices(&a.to_f32(), &b.to_f32(), 16, 16) as f32;
         assert!((s1 - s2).abs() < 1e-6);
     }
 }

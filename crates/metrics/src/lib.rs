@@ -6,13 +6,9 @@
 //!   and its original (Tables II–IV; "badly encoded" means MAPE > 20).
 //! * [`ssim`] — structural similarity (Wang et al., 2004), used for the
 //!   face-texture comparison of Table IV / Fig. 5.
-//! * [`psnr`] — peak signal-to-noise ratio, a supplementary quality
-//!   number.
 //! * [`distribution`] — KL divergence and 1-Wasserstein distance between
 //!   histograms, quantifying the weight-distribution reshaping of
 //!   Figs. 2–3.
-//! * [`ConfusionMatrix`] — classification accounting beyond plain
-//!   accuracy.
 //!
 //! # Examples
 //!
@@ -32,10 +28,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod classify;
 mod image;
 
 pub mod distribution;
 
-pub use classify::{topk_accuracy, ConfusionMatrix};
-pub use image::{mape, mape_slices, psnr, ssim, ssim_slices};
+pub use image::{mape, mape_slices, ssim};

@@ -1,12 +1,10 @@
 //! Layer implementations: convolution, fully-connected, batch
-//! normalization, activations, dropout, pooling, reshaping, residual and
-//! sequential blocks.
+//! normalization, ReLU, pooling, reshaping, residual and sequential
+//! blocks.
 
 mod activation;
 mod batchnorm;
 mod conv;
-mod dropout;
-mod elementwise;
 mod flatten;
 mod linear;
 mod pool;
@@ -16,10 +14,8 @@ mod sequential;
 pub use activation::ReLU;
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
-pub use dropout::Dropout;
-pub use elementwise::{LeakyReLU, Sigmoid, Tanh};
 pub use flatten::Flatten;
 pub use linear::Linear;
-pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
+pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use residual::ResidualBlock;
 pub use sequential::Sequential;

@@ -101,118 +101,6 @@ impl Layer for GlobalAvgPool {
     }
 }
 
-/// Windowed average pooling over square `k`×`k` windows.
-///
-/// Unlike [`MaxPool2d`] the gradient spreads uniformly over each window,
-/// so no argmax cache is needed — only the input geometry.
-#[derive(Debug)]
-pub struct AvgPool2d {
-    k: usize,
-    geometry: ConvGeometry,
-    input_dims: Option<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// Creates an average pool with a `k`×`k` window and the given stride.
-    pub fn new(k: usize, stride: usize) -> Self {
-        AvgPool2d {
-            k,
-            geometry: ConvGeometry::new(stride, 0),
-            input_dims: None,
-        }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn name(&self) -> &'static str {
-        "avg_pool2d"
-    }
-
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        if input.shape().rank() != 4 {
-            return Err(NnError::tensor(
-                "avg_pool2d",
-                qce_tensor::TensorError::RankMismatch {
-                    op: "avg_pool2d forward",
-                    expected: 4,
-                    actual: input.shape().rank(),
-                },
-            ));
-        }
-        let (n, c, h, w) = (
-            input.dims()[0],
-            input.dims()[1],
-            input.dims()[2],
-            input.dims()[3],
-        );
-        let ho = self
-            .geometry
-            .output_extent(h, self.k)
-            .map_err(|e| NnError::tensor("avg_pool2d", e))?;
-        let wo = self
-            .geometry
-            .output_extent(w, self.k)
-            .map_err(|e| NnError::tensor("avg_pool2d", e))?;
-        let area = (self.k * self.k) as f32;
-        let iv = input.as_slice();
-        let mut out = vec![0.0f32; n * c * ho * wo];
-        for s in 0..n {
-            for ch in 0..c {
-                let base = (s * c + ch) * h * w;
-                for oy in 0..ho {
-                    for ox in 0..wo {
-                        let mut acc = 0.0f32;
-                        for ky in 0..self.k {
-                            for kx in 0..self.k {
-                                let iy = oy * self.geometry.stride + ky;
-                                let ix = ox * self.geometry.stride + kx;
-                                acc += iv[base + iy * w + ix];
-                            }
-                        }
-                        out[((s * c + ch) * ho + oy) * wo + ox] = acc / area;
-                    }
-                }
-            }
-        }
-        if mode == Mode::Train {
-            self.input_dims = Some(input.dims().to_vec());
-        }
-        Tensor::from_vec(out, &[n, c, ho, wo]).map_err(|e| NnError::tensor("avg_pool2d", e))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let dims = self
-            .input_dims
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward {
-                layer: "avg_pool2d",
-            })?;
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let (ho, wo) = (grad_out.dims()[2], grad_out.dims()[3]);
-        let area = (self.k * self.k) as f32;
-        let gv = grad_out.as_slice();
-        let mut grad_in = vec![0.0f32; n * c * h * w];
-        for s in 0..n {
-            for ch in 0..c {
-                let base = (s * c + ch) * h * w;
-                for oy in 0..ho {
-                    for ox in 0..wo {
-                        let g = gv[((s * c + ch) * ho + oy) * wo + ox] / area;
-                        for ky in 0..self.k {
-                            for kx in 0..self.k {
-                                let iy = oy * self.geometry.stride + ky;
-                                let ix = ox * self.geometry.stride + kx;
-                                grad_in[base + iy * w + ix] += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(grad_in, dims).map_err(|e| NnError::tensor("avg_pool2d", e))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,53 +144,5 @@ mod tests {
         assert!(a.backward(&Tensor::zeros(&[1, 1, 1, 1])).is_err());
         let mut b = GlobalAvgPool::new();
         assert!(b.backward(&Tensor::zeros(&[1, 1])).is_err());
-        let mut c = AvgPool2d::new(2, 2);
-        assert!(c.backward(&Tensor::zeros(&[1, 1, 1, 1])).is_err());
-    }
-
-    #[test]
-    fn avg_pool_forward_means_windows() {
-        let mut pool = AvgPool2d::new(2, 2);
-        let x = Tensor::from_vec(
-            vec![
-                1.0, 2.0, 3.0, 4.0, //
-                5.0, 6.0, 7.0, 8.0, //
-                9.0, 10.0, 11.0, 12.0, //
-                13.0, 14.0, 15.0, 16.0,
-            ],
-            &[1, 1, 4, 4],
-        )
-        .unwrap();
-        let y = pool.forward(&x, Mode::Train).unwrap();
-        assert_eq!(y.as_slice(), &[3.5, 5.5, 11.5, 13.5]);
-        // Backward spreads each gradient uniformly over its window.
-        let g = pool
-            .backward(&Tensor::from_vec(vec![4.0, 8.0, 12.0, 16.0], &[1, 1, 2, 2]).unwrap())
-            .unwrap();
-        assert_eq!(g.at(&[0, 0, 0, 0]), 1.0);
-        assert_eq!(g.at(&[0, 0, 0, 2]), 2.0);
-        assert_eq!(g.at(&[0, 0, 2, 0]), 3.0);
-        assert_eq!(g.at(&[0, 0, 3, 3]), 4.0);
-        assert_eq!(g.sum(), 40.0);
-    }
-
-    #[test]
-    fn avg_pool_matches_finite_difference() {
-        let mut pool = AvgPool2d::new(2, 1); // overlapping windows
-        let mut rng = qce_tensor::init::seeded_rng(7);
-        let mut x = qce_tensor::init::uniform(&[1, 1, 4, 4], -1.0, 1.0, &mut rng);
-        let y = pool.forward(&x, Mode::Train).unwrap();
-        let grad = pool.backward(&Tensor::ones(y.dims())).unwrap();
-        let eps = 1e-2;
-        for probe in [0usize, 5, 10, 15] {
-            let orig = x.as_slice()[probe];
-            x.as_mut_slice()[probe] = orig + eps;
-            let hi = pool.forward(&x, Mode::Eval).unwrap().sum();
-            x.as_mut_slice()[probe] = orig - eps;
-            let lo = pool.forward(&x, Mode::Eval).unwrap().sum();
-            x.as_mut_slice()[probe] = orig;
-            let fd = (hi - lo) / (2.0 * eps);
-            assert!((fd - grad.as_slice()[probe]).abs() < 1e-3);
-        }
     }
 }

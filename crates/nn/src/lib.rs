@@ -68,12 +68,11 @@ pub mod serialize;
 pub use error::NnError;
 pub use layer::{Layer, Mode, WeightSymmetry};
 pub use network::{Network, NetworkSnapshot, WeightSlot};
-pub use optim::{Adam, Sgd};
+pub use optim::Sgd;
 pub use param::{Param, ParamKind};
 pub use schedule::LrSchedule;
 pub use trainer::{
-    accuracy, gather_batch, DivergenceGuard, OptimizerKind, Regularizer, TrainConfig, Trainer,
-    TrainingHistory,
+    accuracy, gather_batch, DivergenceGuard, Regularizer, TrainConfig, Trainer, TrainingHistory,
 };
 
 /// Crate-wide result alias.

@@ -107,122 +107,6 @@ impl Sgd {
     }
 }
 
-/// Adam optimizer (Kingma & Ba) with decoupled weight decay on
-/// `Weight`-kind parameters (AdamW-style).
-///
-/// Provided as an alternative to [`Sgd`] for workloads where the
-/// correlation regularizer's gradient scale differs strongly across
-/// layers; Adam's per-parameter normalization equalizes it.
-///
-/// # Examples
-///
-/// ```
-/// use qce_nn::optim::Adam;
-/// use qce_nn::{Param, ParamKind};
-/// use qce_tensor::Tensor;
-///
-/// let mut p = Param::new(Tensor::from_slice(&[1.0]), ParamKind::Weight);
-/// p.grad_mut().as_mut_slice()[0] = 0.5;
-/// let mut adam = Adam::new(0.1);
-/// adam.step(&mut [&mut p]);
-/// assert!(p.value().as_slice()[0] < 1.0); // moved against the gradient
-/// ```
-#[derive(Debug)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-    step: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Adam with the conventional β₁ = 0.9, β₂ = 0.999, ε = 1e-8 and no
-    /// weight decay.
-    pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
-            step: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-
-    /// Adam with decoupled weight decay on `Weight`-kind parameters.
-    pub fn with_weight_decay(lr: f32, weight_decay: f32) -> Self {
-        Adam {
-            weight_decay,
-            ..Adam::new(lr)
-        }
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Updates the learning rate.
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    /// Applies one Adam update step; see [`Sgd::step`] for the parameter
-    /// identity contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameter list length changes between steps.
-    pub fn step(&mut self, params: &mut [&mut Param]) {
-        if self.m.is_empty() {
-            self.m = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value().dims()))
-                .collect();
-            self.v = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value().dims()))
-                .collect();
-        }
-        assert_eq!(
-            self.m.len(),
-            params.len(),
-            "optimizer was initialized with a different parameter list"
-        );
-        self.step += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.step as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.step as i32);
-        for ((p, m), v) in params
-            .iter_mut()
-            .zip(self.m.iter_mut())
-            .zip(self.v.iter_mut())
-        {
-            let grad = p.grad().as_slice().to_vec();
-            let decay = if p.kind() == ParamKind::Weight {
-                self.weight_decay
-            } else {
-                0.0
-            };
-            let mv = m.as_mut_slice();
-            let vv = v.as_mut_slice();
-            let pv = p.value_mut().as_mut_slice();
-            for i in 0..pv.len() {
-                mv[i] = self.beta1 * mv[i] + (1.0 - self.beta1) * grad[i];
-                vv[i] = self.beta2 * vv[i] + (1.0 - self.beta2) * grad[i] * grad[i];
-                let m_hat = mv[i] / bc1;
-                let v_hat = vv[i] / bc2;
-                pv[i] -= self.lr * (m_hat / (v_hat.sqrt() + self.eps) + decay * pv[i]);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,56 +163,5 @@ mod tests {
         let mut sgd = Sgd::new(0.1);
         sgd.step(&mut [&mut a, &mut b]);
         sgd.step(&mut [&mut a]);
-    }
-
-    #[test]
-    fn adam_first_step_is_lr_sized() {
-        // With bias correction, the first Adam step is ~lr * sign(grad).
-        let mut p = param(&[0.0], &[0.25], ParamKind::Weight);
-        let mut adam = Adam::new(0.01);
-        adam.step(&mut [&mut p]);
-        assert!((p.value().as_slice()[0] + 0.01).abs() < 1e-4);
-    }
-
-    #[test]
-    fn adam_minimizes_a_quadratic() {
-        // f(x) = (x - 3)^2, grad = 2(x - 3).
-        let mut p = param(&[0.0], &[0.0], ParamKind::Weight);
-        let mut adam = Adam::new(0.1);
-        for _ in 0..300 {
-            let x = p.value().as_slice()[0];
-            p.zero_grad();
-            p.grad_mut().as_mut_slice()[0] = 2.0 * (x - 3.0);
-            adam.step(&mut [&mut p]);
-        }
-        let x = p.value().as_slice()[0];
-        assert!((x - 3.0).abs() < 0.05, "converged to {x}");
-    }
-
-    #[test]
-    fn adam_weight_decay_targets_weights_only() {
-        let mut w = param(&[1.0], &[0.0], ParamKind::Weight);
-        let mut b = param(&[1.0], &[0.0], ParamKind::Bias);
-        let mut adam = Adam::with_weight_decay(0.1, 0.5);
-        adam.step(&mut [&mut w, &mut b]);
-        assert!(w.value().as_slice()[0] < 1.0);
-        assert_eq!(b.value().as_slice()[0], 1.0);
-    }
-
-    #[test]
-    fn adam_set_lr() {
-        let mut adam = Adam::new(1.0);
-        adam.set_lr(0.5);
-        assert_eq!(adam.lr(), 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "different parameter list")]
-    fn adam_param_list_change_panics() {
-        let mut a = param(&[0.0], &[0.0], ParamKind::Weight);
-        let mut b = param(&[0.0], &[0.0], ParamKind::Weight);
-        let mut adam = Adam::new(0.1);
-        adam.step(&mut [&mut a, &mut b]);
-        adam.step(&mut [&mut a]);
     }
 }

@@ -7,23 +7,16 @@
 /// ```
 /// use qce_nn::LrSchedule;
 ///
-/// let s = LrSchedule::StepDecay { every: 2, factor: 0.5 };
+/// let s = LrSchedule::Cosine { total_epochs: 3, min_lr: 0.0 };
 /// assert_eq!(s.lr_at(0, 0.1), 0.1);
-/// assert_eq!(s.lr_at(2, 0.1), 0.05);
-/// assert_eq!(s.lr_at(4, 0.1), 0.025);
+/// assert!((s.lr_at(1, 0.1) - 0.05).abs() < 1e-7);
+/// assert_eq!(s.lr_at(2, 0.1), 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LrSchedule {
     /// Constant learning rate.
     #[default]
     Constant,
-    /// Multiply the rate by `factor` every `every` epochs.
-    StepDecay {
-        /// Number of epochs between decays.
-        every: usize,
-        /// Multiplicative factor applied at each decay point.
-        factor: f32,
-    },
     /// Cosine annealing from the base rate to `min_lr` over `total_epochs`.
     Cosine {
         /// Total schedule length in epochs.
@@ -38,12 +31,6 @@ impl LrSchedule {
     pub fn lr_at(&self, epoch: usize, base_lr: f32) -> f32 {
         match *self {
             LrSchedule::Constant => base_lr,
-            LrSchedule::StepDecay { every, factor } => {
-                if every == 0 {
-                    return base_lr;
-                }
-                base_lr * factor.powi((epoch / every) as i32)
-            }
             LrSchedule::Cosine {
                 total_epochs,
                 min_lr,
@@ -68,26 +55,6 @@ mod tests {
         for e in 0..10 {
             assert_eq!(s.lr_at(e, 0.3), 0.3);
         }
-    }
-
-    #[test]
-    fn step_decay_steps() {
-        let s = LrSchedule::StepDecay {
-            every: 3,
-            factor: 0.1,
-        };
-        assert_eq!(s.lr_at(2, 1.0), 1.0);
-        assert!((s.lr_at(3, 1.0) - 0.1).abs() < 1e-7);
-        assert!((s.lr_at(6, 1.0) - 0.01).abs() < 1e-8);
-    }
-
-    #[test]
-    fn step_decay_zero_every_is_constant() {
-        let s = LrSchedule::StepDecay {
-            every: 0,
-            factor: 0.1,
-        };
-        assert_eq!(s.lr_at(5, 1.0), 1.0);
     }
 
     #[test]

@@ -4,41 +4,7 @@ use qce_tensor::Tensor;
 use rand::seq::SliceRandom;
 
 use crate::loss::softmax_cross_entropy;
-use crate::optim::Adam;
 use crate::{LrSchedule, Mode, Network, NnError, Result, Sgd};
-
-/// Which optimizer the [`Trainer`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OptimizerKind {
-    /// SGD with momentum and weight decay (the default; what the paper's
-    /// training pipelines use).
-    #[default]
-    Sgd,
-    /// AdamW (decoupled weight decay) — useful when layer-wise gradient
-    /// scales differ strongly.
-    Adam,
-}
-
-enum AnyOptimizer {
-    Sgd(Sgd),
-    Adam(Adam),
-}
-
-impl AnyOptimizer {
-    fn set_lr(&mut self, lr: f32) {
-        match self {
-            AnyOptimizer::Sgd(o) => o.set_lr(lr),
-            AnyOptimizer::Adam(o) => o.set_lr(lr),
-        }
-    }
-
-    fn step(&mut self, params: &mut [&mut crate::Param]) {
-        match self {
-            AnyOptimizer::Sgd(o) => o.step(params),
-            AnyOptimizer::Adam(o) => o.step(params),
-        }
-    }
-}
 
 /// A training-time loss add-on with direct gradient access to the network.
 ///
@@ -128,14 +94,10 @@ pub struct TrainConfig {
     pub weight_decay: f32,
     /// Learning-rate schedule over epochs.
     pub schedule: LrSchedule,
-    /// Which optimizer to run.
-    pub optimizer: OptimizerKind,
     /// Seed for the per-epoch shuffle.
     pub shuffle_seed: u64,
     /// Divergence detection and rollback policy.
     pub guard: DivergenceGuard,
-    /// Print one line per epoch to stderr.
-    pub verbose: bool,
 }
 
 impl Default for TrainConfig {
@@ -147,10 +109,8 @@ impl Default for TrainConfig {
             momentum: 0.9,
             weight_decay: 5e-4,
             schedule: LrSchedule::Constant,
-            optimizer: OptimizerKind::Sgd,
             shuffle_seed: 0x5eed,
             guard: DivergenceGuard::default(),
-            verbose: false,
         }
     }
 }
@@ -216,15 +176,8 @@ impl Trainer {
                 reason: "empty dataset or zero batch size".to_string(),
             });
         }
-        let make_optimizer = |config: &TrainConfig| match config.optimizer {
-            OptimizerKind::Sgd => AnyOptimizer::Sgd(Sgd::with_momentum(
-                config.lr,
-                config.momentum,
-                config.weight_decay,
-            )),
-            OptimizerKind::Adam => {
-                AnyOptimizer::Adam(Adam::with_weight_decay(config.lr, config.weight_decay))
-            }
+        let make_optimizer = |config: &TrainConfig| {
+            Sgd::with_momentum(config.lr, config.momentum, config.weight_decay)
         };
         let mut optimizer = make_optimizer(&self.config);
         let mut rng = qce_tensor::init::seeded_rng(self.config.shuffle_seed);
@@ -241,14 +194,13 @@ impl Trainer {
         let lr_gauge = qce_telemetry::gauge("train.lr");
         let rollback_counter = qce_telemetry::counter("train.rollbacks");
 
-        // Rate-limited progress heartbeat for long non-verbose runs:
-        // `QCE_LOG=progress` gets one line every ~5 s with an ETA from
-        // the recent-epoch mean, instead of silence-until-done (verbose
-        // runs already narrate every epoch).
+        // Rate-limited progress heartbeat for long runs: `QCE_LOG=progress`
+        // gets one line every ~5 s with an ETA from the recent-epoch mean,
+        // instead of silence-until-done (`QCE_LOG=debug` also narrates
+        // every epoch).
         const HEARTBEAT_EVERY: Duration = Duration::from_secs(5);
         const ETA_WINDOW: usize = 8;
-        let heartbeat =
-            !self.config.verbose && qce_telemetry::level() >= qce_telemetry::Level::Progress;
+        let heartbeat = qce_telemetry::level() >= qce_telemetry::Level::Progress;
         let mut last_beat = Instant::now();
         let mut epoch_secs: Vec<f64> = Vec::new();
 
@@ -300,16 +252,10 @@ impl Trainer {
                 if let Some(reg) = regularizer.as_deref_mut() {
                     reg.on_divergence();
                 }
-                let msg = format!(
+                qce_telemetry::debug!(
                     "epoch {epoch}: diverged (loss={mean_loss}), rolled back; \
                      retrying at lr scale {lr_scale}"
                 );
-                let level = if self.config.verbose {
-                    qce_telemetry::Level::Progress
-                } else {
-                    qce_telemetry::Level::Debug
-                };
-                qce_telemetry::log_line(level, &msg);
                 continue;
             }
 
@@ -320,14 +266,8 @@ impl Trainer {
             penalty_gauge.set(f64::from(mean_penalty));
             lr_gauge.set(f64::from(lr));
             epoch += 1;
-            let level = if self.config.verbose {
-                qce_telemetry::Level::Progress
-            } else {
-                qce_telemetry::Level::Debug
-            };
-            qce_telemetry::log_line(
-                level,
-                &format!("epoch {epoch}: loss={mean_loss:.4} penalty={mean_penalty:.4} lr={lr:.5}"),
+            qce_telemetry::debug!(
+                "epoch {epoch}: loss={mean_loss:.4} penalty={mean_penalty:.4} lr={lr:.5}"
             );
             epoch_secs.push(epoch_t0.elapsed().as_secs_f64());
             if heartbeat && epoch < total_epochs && last_beat.elapsed() >= HEARTBEAT_EVERY {

@@ -18,8 +18,6 @@ pub struct FinetuneConfig {
     pub momentum: f32,
     /// Seed for the per-epoch shuffle.
     pub shuffle_seed: u64,
-    /// Print one line per epoch to stderr.
-    pub verbose: bool,
 }
 
 impl Default for FinetuneConfig {
@@ -30,7 +28,6 @@ impl Default for FinetuneConfig {
             lr: 0.01,
             momentum: 0.9,
             shuffle_seed: 0xf17e,
-            verbose: false,
         }
     }
 }
@@ -132,15 +129,7 @@ pub fn finetune(
         history
             .epoch_penalties
             .push((penalty_sum / batches as f64) as f32);
-        let level = if config.verbose {
-            qce_telemetry::Level::Progress
-        } else {
-            qce_telemetry::Level::Debug
-        };
-        qce_telemetry::log_line(
-            level,
-            &format!("finetune epoch {epoch}: loss={mean_loss:.4}"),
-        );
+        qce_telemetry::debug!("finetune epoch {epoch}: loss={mean_loss:.4}");
     }
     Ok(history)
 }

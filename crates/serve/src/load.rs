@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use qce::{BandRule, FlowConfig, Grouping, QuantConfig, QuantMethod};
 use qce_harness::{DatasetKind, DatasetSpec, Scenario};
-use qce_telemetry::bench::BenchFile;
+use qce_telemetry::bench::{percentile, BenchFile};
 use qce_telemetry::json::{parse, JsonValue};
 
 use crate::http::http_request;
@@ -95,7 +95,6 @@ fn load_scenario(cfg: &LoadConfig, level: usize, index: usize) -> Scenario {
         grouping: Grouping::Uniform(5.0),
         band: BandRule::FirstN,
         quant: Some(QuantConfig::new(QuantMethod::TargetCorrelated, 4)),
-        verbose: false,
         ..FlowConfig::tiny()
     };
     Scenario {
@@ -213,14 +212,6 @@ fn run_level(cfg: &LoadConfig, level_tag: usize, concurrency: usize) -> Result<L
             0.0
         },
     })
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let pos = (q / 100.0) * (sorted.len() - 1) as f64;
-    sorted[pos.round() as usize]
 }
 
 /// One `store.*`/`serve.*` counter from the daemon's stats document.

@@ -131,7 +131,7 @@ fn cmd_load(args: &[String]) -> ExitCode {
     };
     for level in &report.levels {
         println!(
-            "c{}: {} jobs, p50 {:.1} ms, p90 {:.1} ms, p99 {:.1} ms, total {:.1} ms, {:.2} jobs/s",
+            "c{}: n={} jobs, p50 {:.1} ms, p90 {:.1} ms, p99 {:.1} ms, total {:.1} ms, {:.2} jobs/s",
             level.concurrency,
             level.jobs,
             level.p50_ms,
@@ -142,7 +142,8 @@ fn cmd_load(args: &[String]) -> ExitCode {
         );
     }
     println!(
-        "warm: p50 {:.1} ms, p99 {:.1} ms, dedup hit-rate {:.3} ({} hits, {} writes)",
+        "warm: n={} jobs, p50 {:.1} ms, p99 {:.1} ms, dedup hit-rate {:.3} ({} hits, {} writes)",
+        report.warm.jobs,
         report.warm.p50_ms,
         report.warm.p99_ms,
         report.dedup_hit_rate,

@@ -9,7 +9,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use qce::AttackFlow;
-use qce_harness::Scenario;
+use qce_harness::{Scenario, RECOVERY_MAPE_CEILING};
 use qce_store::StageCache;
 use qce_telemetry::json::ObjWriter;
 use qce_telemetry::{counter, fnv1a};
@@ -502,7 +502,30 @@ fn result_json(scenario: &Scenario, outcome: &qce::FlowOutcome, wall_ms: f64) ->
         None => root.raw("compression_ratio", "null"),
     };
     root.raw("digests", &digests.finish());
+    match &outcome.post_defense {
+        Some(defended) => root.raw("defense", &defense_json(defended)),
+        None => root.raw("defense", "null"),
+    };
     root.finish()
+}
+
+/// The defended release's metrics, taken as the sweep takes a defended
+/// cell's: the top-level fields describe the undefended release, while
+/// `digests` fingerprint the network after the defense.
+fn defense_json(report: &qce::FaultedReport) -> String {
+    // `num` writes a non-finite value as `null`.
+    let opt = |v: Option<f32>| v.map_or(f64::NAN, f64::from);
+    let mut doc = ObjWriter::new();
+    doc.str("label", &report.label)
+        .num("accuracy", f64::from(report.accuracy))
+        .uint("images", report.images.len() as u64)
+        .uint(
+            "recovered",
+            report.recovered_count(RECOVERY_MAPE_CEILING) as u64,
+        )
+        .num("mean_mape", opt(report.mean_mape()))
+        .num("mean_ssim", opt(report.mean_ssim()));
+    doc.finish()
 }
 
 #[cfg(test)]

@@ -67,7 +67,6 @@ fn scenario(name: &str, seed: u64) -> Scenario {
             grouping: Grouping::Uniform(5.0),
             band: BandRule::FirstN,
             quant: Some(QuantConfig::new(QuantMethod::TargetCorrelated, 4)),
-            verbose: false,
             ..FlowConfig::tiny()
         },
         fault: None,
@@ -155,6 +154,7 @@ fn submit_stream_and_status_happy_path() {
     let result = field(&last, "result");
     assert!(field(result, "accuracy").as_f64().is_some());
     assert!(field(result, "digests").get("release.weights").is_some());
+    assert!(matches!(field(result, "defense"), JsonValue::Null));
 
     // Status agrees and the result document matches the stream's.
     let doc = wait_terminal(&addr, &id);
@@ -166,6 +166,60 @@ fn submit_stream_and_status_happy_path() {
     assert_eq!(status, 200);
     let stats = parse(&body).expect("stats JSON");
     assert!(field(&stats, "counters").get("serve.submit").is_some());
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(cache_dir);
+}
+
+#[test]
+fn a_defended_job_reports_the_defended_release() {
+    let _guard = serial();
+    let (server, addr, cache_dir) = start_server("defended", 1, 0);
+
+    let mut defended = scenario("defended", 4151);
+    let (_, rotation) = Scenario::tournament().remove(0).defenses.remove(1);
+    defended.flow.defense = Some(rotation);
+    let (id, _) = submit_ok(&addr, &defended, "alice");
+    let doc = wait_terminal(&addr, &id);
+    assert_eq!(field(&doc, "state").as_str(), Some("done"), "{doc:?}");
+    let result = field(&doc, "result");
+    let defense = field(result, "defense");
+
+    // The same numbers an in-process run of the flow reports for its
+    // defended release.
+    let outcome = qce::AttackFlow::new(defended.flow.clone())
+        .run(&defended.dataset.generate().unwrap())
+        .unwrap();
+    let expected = outcome.post_defense.as_ref().expect("defended release");
+    assert_eq!(
+        field(defense, "label").as_str(),
+        Some(expected.label.as_str())
+    );
+    assert_eq!(
+        field(defense, "accuracy").as_f64(),
+        Some(f64::from(expected.accuracy))
+    );
+    assert_eq!(
+        field(defense, "images").as_u64(),
+        Some(expected.images.len() as u64)
+    );
+    assert_eq!(
+        field(defense, "recovered").as_u64(),
+        Some(expected.recovered_count(qce_harness::RECOVERY_MAPE_CEILING) as u64)
+    );
+    assert_eq!(
+        field(defense, "mean_mape").as_f64(),
+        expected.mean_mape().map(f64::from)
+    );
+    assert_eq!(
+        field(defense, "mean_ssim").as_f64(),
+        expected.mean_ssim().map(f64::from)
+    );
+    // The top-level fields still describe the undefended release.
+    assert_eq!(
+        field(result, "accuracy").as_f64(),
+        Some(f64::from(outcome.final_report().accuracy))
+    );
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(cache_dir);

@@ -77,6 +77,15 @@ impl ByteWriter {
         self
     }
 
+    /// Appends an optional `f32`: a `0` tag byte for `None`, or a `1`
+    /// tag byte followed by the bit pattern.
+    pub fn put_opt_f32(&mut self, v: Option<f32>) -> &mut Self {
+        match v {
+            None => self.put_u8(0),
+            Some(v) => self.put_u8(1).put_f32(v),
+        }
+    }
+
     /// Appends a `u64` length prefix followed by the UTF-8 bytes.
     pub fn put_str(&mut self, s: &str) -> &mut Self {
         self.put_u64(s.len() as u64);
@@ -225,6 +234,19 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_le_bytes(self.take_array()?))
     }
 
+    /// Reads an optional `f32` written by [`ByteWriter::put_opt_f32`]
+    /// (any non-zero tag means `Some`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Format`] on truncation.
+    pub fn opt_f32(&mut self) -> Result<Option<f32>> {
+        Ok(match self.u8()? {
+            0 => None,
+            _ => Some(self.f32()?),
+        })
+    }
+
     /// Reads a length-prefixed UTF-8 string written by
     /// [`ByteWriter::put_str`].
     ///
@@ -297,7 +319,9 @@ mod tests {
             .put_f32(-0.0)
             .put_f64(f64::MIN_POSITIVE)
             .put_str("héllo")
-            .put_f32_slice(&[1.0, f32::NAN]);
+            .put_f32_slice(&[1.0, f32::NAN])
+            .put_opt_f32(None)
+            .put_opt_f32(Some(2.5));
         assert!(!w.is_empty());
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
@@ -311,6 +335,8 @@ mod tests {
         let vs = r.f32_vec().unwrap();
         assert_eq!(vs[0], 1.0);
         assert!(vs[1].is_nan());
+        assert_eq!(r.opt_f32().unwrap(), None);
+        assert_eq!(r.opt_f32().unwrap(), Some(2.5));
         r.expect_empty().unwrap();
     }
 

@@ -224,13 +224,13 @@ fn metrics_from_faulted(scenario: &qce_harness::Scenario, report: &FaultedReport
 
 fn store_cell(cache: &StageCache, key: &CacheKey, metrics: &CellMetrics) {
     let mut w = ByteWriter::new();
-    put_opt_f32(&mut w, metrics.float_accuracy);
-    w.put_f32(metrics.accuracy);
-    w.put_u32(metrics.images);
-    w.put_u32(metrics.recovered);
-    put_opt_f32(&mut w, metrics.mean_mape);
-    put_opt_f32(&mut w, metrics.mean_ssim);
-    w.put_u32(metrics.bits);
+    w.put_opt_f32(metrics.float_accuracy)
+        .put_f32(metrics.accuracy)
+        .put_u32(metrics.images)
+        .put_u32(metrics.recovered)
+        .put_opt_f32(metrics.mean_mape)
+        .put_opt_f32(metrics.mean_ssim)
+        .put_u32(metrics.bits);
     match metrics.compression_ratio {
         None => {
             w.put_u8(0);
@@ -248,18 +248,20 @@ fn store_cell(cache: &StageCache, key: &CacheKey, metrics: &CellMetrics) {
     }
 }
 
+/// Probes the whole-cell entry. A present entry that does not decode
+/// counts `store.corrupt` and misses, so the cell recomputes (the
+/// policy of the flow's own stage checkpoints).
 fn load_cell(cache: &StageCache, key: &CacheKey) -> Option<CellMetrics> {
     let artifact = cache.load(key)?;
-    let payload = artifact.require(CELL_RESULT).ok()?;
-    let mut r = ByteReader::new(payload);
-    let mut decode = || -> qce_store::Result<CellMetrics> {
+    let decode = || -> qce_store::Result<CellMetrics> {
+        let mut r = ByteReader::new(artifact.require(CELL_RESULT)?);
         let metrics = CellMetrics {
-            float_accuracy: get_opt_f32(&mut r)?,
+            float_accuracy: r.opt_f32()?,
             accuracy: r.f32()?,
             images: r.u32()?,
             recovered: r.u32()?,
-            mean_mape: get_opt_f32(&mut r)?,
-            mean_ssim: get_opt_f32(&mut r)?,
+            mean_mape: r.opt_f32()?,
+            mean_ssim: r.opt_f32()?,
             bits: r.u32()?,
             compression_ratio: match r.u8()? {
                 0 => None,
@@ -269,25 +271,14 @@ fn load_cell(cache: &StageCache, key: &CacheKey) -> Option<CellMetrics> {
         r.expect_empty()?;
         Ok(metrics)
     };
-    decode().ok()
-}
-
-fn put_opt_f32(w: &mut ByteWriter, v: Option<f32>) {
-    match v {
-        None => {
-            w.put_u8(0);
-        }
-        Some(v) => {
-            w.put_u8(1).put_f32(v);
+    match decode() {
+        Ok(metrics) => Some(metrics),
+        Err(e) => {
+            qce_telemetry::counter("store.corrupt").incr(1);
+            qce_telemetry::debug!("[sweep] discarding cell entry for {}: {e}", key.stage);
+            None
         }
     }
-}
-
-fn get_opt_f32(r: &mut ByteReader<'_>) -> qce_store::Result<Option<f32>> {
-    Ok(match r.u8()? {
-        0 => None,
-        _ => Some(r.f32()?),
-    })
 }
 
 #[cfg(test)]
@@ -315,6 +306,18 @@ mod tests {
         assert_eq!(format!("{metrics:?}"), format!("{loaded:?}"));
         // A different key misses.
         assert!(load_cell(&cache, &CacheKey::new(0xbeef, 5, CELL_STAGE)).is_none());
+        // A truncated payload misses too, and counts as corrupt.
+        let corrupt = qce_telemetry::counter("store.corrupt");
+        let before = corrupt.get();
+        let mut w = ByteWriter::new();
+        w.put_opt_f32(metrics.float_accuracy)
+            .put_f32(metrics.accuracy);
+        let mut truncated = Artifact::new();
+        truncated.push(CELL_RESULT, w.finish());
+        let bad = CacheKey::new(0xdead, 5, CELL_STAGE);
+        cache.store(&bad, &truncated).unwrap();
+        assert!(load_cell(&cache, &bad).is_none());
+        assert!(corrupt.get() > before);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -644,6 +644,21 @@ mod tests {
     }
 
     #[test]
+    fn a_defense_by_fault_grid_is_rejected_naming_the_cell() {
+        let err = parse_grid(&grid_json(
+            r#"[{"axis": "defense", "values": ["none", {"seed": 2, "defenses":
+                    [{"kind": "rotation", "mode": "permute"}]}]},
+                {"axis": "fault", "values": [null, {"seed": 3, "faults":
+                    [{"kind": "bit_flip", "rate": 0.001}]}]}]"#,
+        ))
+        .unwrap_err();
+        assert!(matches!(err, SweepError::Spec(_)), "{err}");
+        let err = err.to_string();
+        assert!(err.contains("cell c0003"), "{err}");
+        assert!(err.contains("flow.defense"), "{err}");
+    }
+
+    #[test]
     fn shards_partition_the_grid() {
         let grid = parse_grid(&grid_json(
             r#"[{"axis": "bits", "values": [2, 3, 4, 5]},

@@ -23,7 +23,7 @@ use qce_store::StageCache;
 use qce_sweep::{
     merge_partials, parse_grid, partial_json, run_cells, ExecOptions, Grid, SweepError,
 };
-use qce_telemetry::bench::BenchFile;
+use qce_telemetry::bench::{percentile, BenchFile};
 use qce_telemetry::json::ObjWriter;
 
 fn main() -> ExitCode {
@@ -253,8 +253,8 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, SweepError> {
                 0.0
             },
         )
-        .num("p50_cell_ms", percentile(&walls, 0.50))
-        .num("p99_cell_ms", percentile(&walls, 0.99))
+        .num("p50_cell_ms", percentile(&walls, 50.0))
+        .num("p99_cell_ms", percentile(&walls, 99.0))
         .uint("store_write_delta", delta("store.write"))
         .uint("store_hit_delta", delta("store.hit"))
         .uint("store_miss_delta", delta("store.miss"));
@@ -316,23 +316,14 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, SweepError> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Nearest-rank percentile over an ascending slice (0 when empty).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// Writes the cell-timing stats as a bench file (`sweep_cell.p50_ms`,
 /// `sweep_cell.p99_ms`, `sweep_total.wall_ms`) so `harness bench-gate`
 /// can diff them against a committed baseline. The run's stats line
 /// carries the ungated context (grid, cells, cells/s).
 fn write_bench(path: &Path, walls: &[f64], wall_ms: f64) -> Result<(), SweepError> {
     let mut file = BenchFile::new("sweep");
-    file.insert("sweep_cell.p50_ms", percentile(walls, 0.50), "ms")
-        .insert("sweep_cell.p99_ms", percentile(walls, 0.99), "ms")
+    file.insert("sweep_cell.p50_ms", percentile(walls, 50.0), "ms")
+        .insert("sweep_cell.p99_ms", percentile(walls, 99.0), "ms")
         .insert("sweep_total.wall_ms", wall_ms, "ms");
     std::fs::write(path, file.to_json())
         .map_err(|e| SweepError::io(format!("writing {}", path.display()), e))

@@ -154,9 +154,43 @@ impl BenchFile {
     }
 }
 
+/// Nearest-rank percentile of an ascending-sorted slice: the sample at
+/// 1-based rank `⌈q/100 · n⌉` (clamped to `1..=n`), so every reported
+/// value is a measured sample. `q` is in percent; an empty slice gives
+/// 0. Every bench writer that reports a percentile uses this rule.
+#[must_use]
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let n = sorted.len();
+    // `q * n` before the division keeps whole-percent ranks exact.
+    let rank = (q * n as f64 / 100.0).ceil();
+    sorted[(rank as usize).clamp(1, n) - 1]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 50.0), 0.0);
+        for q in [0.0, 50.0, 90.0, 99.0, 100.0] {
+            assert_eq!(percentile(&[7.0], q), 7.0, "q={q}");
+        }
+        // n = 6: the median is the 3rd sample; p90 and p99 are the 6th.
+        let six = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        assert_eq!(percentile(&six, 0.0), 1.0);
+        assert_eq!(percentile(&six, 50.0), 3.0);
+        assert_eq!(percentile(&six, 90.0), 6.0);
+        assert_eq!(percentile(&six, 99.0), 6.0);
+        // n = 100: pX is the X-th sample.
+        let hundred: Vec<f64> = (1..=100).map(f64::from).collect();
+        for q in [1.0, 7.0, 50.0, 90.0, 99.0, 100.0] {
+            assert_eq!(percentile(&hundred, q), q, "q={q}");
+        }
+    }
 
     fn one_metric(entry: &str) -> String {
         format!(r#"{{"bench":"t","metrics":{{"m":{entry}}}}}"#)

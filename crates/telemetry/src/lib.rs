@@ -23,7 +23,7 @@
 //!
 //! The crate is std-only by design: it sits below every other workspace
 //! crate, and the vendored `serde` is a marker stub, so [`json`] carries
-//! a minimal writer/parser of its own. [`bench`] holds the one
+//! a minimal writer/parser of its own. [`mod@bench`] holds the one
 //! `BENCH_*.json` format on top of it.
 
 // `deny` (not `forbid`) so the one unsafe island — the `GlobalAlloc`

@@ -23,7 +23,7 @@ use std::time::Instant;
 pub enum Level {
     /// Nothing is printed; a run is genuinely quiet.
     Off = 0,
-    /// Experiment narration (benches, verbose flows).
+    /// Experiment narration (benches, training heartbeats).
     Progress = 1,
     /// Everything, including per-epoch internals and span closures.
     Debug = 2,

@@ -53,7 +53,6 @@ mod error;
 mod shape;
 mod tensor;
 
-pub mod axis;
 pub mod conv;
 pub mod init;
 pub mod linalg;

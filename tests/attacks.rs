@@ -184,45 +184,3 @@ fn absolute_sign_convention_resolves_polarity_at_evaluation() {
     assert!(err(&flipped) < 10.0);
     assert!(err(&straight) > err(&flipped));
 }
-
-#[test]
-fn byte_payload_rides_the_correlation_channel() {
-    use qce_attack::payload;
-    // A "credit card numbers" style secret: structured bytes, not pixels.
-    let secret: Vec<u8> = (0..768).map(|i| ((i * 131 + 41) % 251) as u8).collect();
-    let targets = payload::bytes_as_targets(&secret, 192).unwrap();
-
-    let data = SynthCifar::new(8).classes(4).generate(200, 61).unwrap();
-    let mut net = ResNetLite::builder()
-        .input(3, 8)
-        .classes(4)
-        .stage_channels(&[8, 16])
-        .blocks_per_stage(1)
-        .build(61)
-        .unwrap();
-    let specs = GroupSpec::uniform(net.weight_slots().len(), 200.0);
-    let layout = EncodingLayout::plan(&net, &specs, &targets).unwrap();
-    let mut reg = CorrelationRegularizer::new(layout.clone(), SignConvention::Positive);
-    let mut trainer = Trainer::new(TrainConfig {
-        epochs: 3,
-        batch_size: 32,
-        lr: 0.05,
-        ..TrainConfig::default()
-    });
-    let x = data.to_tensor();
-    let y = data.labels().to_vec();
-    trainer.fit(&mut net, &x, &y, Some(&mut reg)).unwrap();
-
-    // Extract the payload from the released weights.
-    let decoder = Decoder::new(layout, SignConvention::Positive);
-    let decoded = decoder.decode(&net.flat_weights()).unwrap();
-    let mut by_index = decoded;
-    by_index.sort_by_key(|d| d.target_index);
-    let chunks: Vec<_> = by_index.iter().map(|d| d.image.clone()).collect();
-    let recovered = payload::targets_as_bytes(&chunks, secret.len());
-
-    // The analog channel recovers the bytes to within a few units — the
-    // high bits of every byte leak verbatim.
-    let mae = payload::mean_byte_error(&secret, &recovered);
-    assert!(mae < 12.0, "mean byte error {mae}");
-}
