@@ -1,13 +1,15 @@
-//! Regression gate over `BENCH_*.json` bench files.
+//! Regression gate over bench records.
 //!
-//! Every bench writer (`cargo bench --bench kernels` and `defenses`,
-//! `qce-serve load`, `sweep run --bench`) emits a
-//! [`BenchFile`](qce_telemetry::bench::BenchFile). CI keeps a committed
-//! baseline per file; this module diffs a fresh file against it and
+//! The bench writers (`cargo bench --bench kernels` and `defenses`)
+//! emit a [`BenchFile`](qce_telemetry::bench::BenchFile), and so does
+//! the benchmark (`qcebench`) on its last line, which is how CI gates
+//! the `serve_mix` and `sweep_grid` workloads. CI keeps a committed
+//! baseline per record; this module diffs a fresh record against it and
 //! fails when a baseline metric grew by more than a relative threshold
 //! (20% by default — see DESIGN.md for why) or disappeared. Metrics that
-//! are *new* in the fresh file never fail the gate; they show up when
-//! the baseline is refreshed.
+//! are *new* in the fresh record (such as the benchmark's `ops_per_s`)
+//! never fail the gate. A benchmark line from a run with wrong outputs
+//! does not parse, so it cannot pass.
 
 use qce_telemetry::bench::BenchFile;
 
@@ -80,12 +82,63 @@ mod tests {
           }
         }"#;
         let parsed = BenchFile::parse(body).unwrap();
-        assert_eq!(parsed.bench, "kernels");
+        assert_eq!(parsed.bench.as_deref(), Some("kernels"));
         assert_eq!(parsed.metrics.len(), 5);
         assert_eq!(parsed.metrics["kmeans.threads1_ms"].value, 9.0);
         assert_eq!(parsed.metrics["matmul.simd_ms"].value, 0.16);
         assert_eq!(parsed.metrics["matmul.scalar_ms"].unit, "ms");
         assert!(bench_gate(&parsed, &parsed, DEFAULT_BENCH_THRESHOLD).is_empty());
+    }
+
+    // Last lines of `qcebench --workload <w> --seed 1 --seconds 10
+    // --trace 0`, captured from real runs.
+    const ATTACK_FLOW: &str = r#"{"correct":true,"attempted":107,"failed":0,"metrics":{"setup_s":{"value":0.089010484,"unit":"s"},"ops_per_s":{"value":6.787190298016162,"unit":"1/s"},"op_p50_ms":{"value":141.6067155,"unit":"ms"},"op_tail_ms":{"value":221.168119,"unit":"ms"},"peak_rss_mb":{"value":8.44140625,"unit":"MB"},"recovered_frac":{"value":1,"unit":"ratio"},"release_accuracy":{"value":0.27595677599310875,"unit":"ratio"}}}"#;
+    const RELEASE_ARMS: &str = r#"{"correct":true,"attempted":469,"failed":0,"metrics":{"setup_s":{"value":0.828578892,"unit":"s"},"ops_per_s":{"value":40.24990058649089,"unit":"1/s"},"op_p50_ms":{"value":25.5702,"unit":"ms"},"op_tail_ms":{"value":31.234592,"unit":"ms"},"peak_rss_mb":{"value":19.09375,"unit":"MB"},"recovered_frac":{"value":0.6923076923076923,"unit":"ratio"},"release_accuracy":{"value":0.29629629850387573,"unit":"ratio"}}}"#;
+    const SERVE_MIX: &str = r#"{"correct":true,"attempted":2549,"failed":0,"metrics":{"setup_s":{"value":0.834575764,"unit":"s"},"ops_per_s":{"value":236.7702008209724,"unit":"1/s"},"op_p50_ms":{"value":5.9138855,"unit":"ms"},"op_tail_ms":{"value":113.507735,"unit":"ms"},"peak_rss_mb":{"value":32.5078125,"unit":"MB"},"recovered_frac":{"value":0.7073170731707317,"unit":"ratio"},"release_accuracy":{"value":0.19791666666666666,"unit":"ratio"}}}"#;
+    const SWEEP_GRID: &str = r#"{"correct":true,"attempted":270,"failed":0,"metrics":{"setup_s":{"value":0.274477048,"unit":"s"},"ops_per_s":{"value":25.557196435668505,"unit":"1/s"},"op_p50_ms":{"value":8.78296,"unit":"ms"},"op_tail_ms":{"value":150.198805,"unit":"ms"},"peak_rss_mb":{"value":9.3828125,"unit":"MB"},"recovered_frac":{"value":0.6666666666666666,"unit":"ratio"},"release_accuracy":{"value":0.23697916666666666,"unit":"ratio"}}}"#;
+
+    #[test]
+    fn real_benchmark_lines_parse_and_gate_against_themselves() {
+        for line in [ATTACK_FLOW, RELEASE_ARMS, SERVE_MIX, SWEEP_GRID] {
+            let parsed = BenchFile::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            assert_eq!(parsed.bench, None);
+            let units: Vec<(&str, &str)> = parsed
+                .metrics
+                .iter()
+                .map(|(name, m)| (name.as_str(), m.unit.as_str()))
+                .collect();
+            assert_eq!(
+                units,
+                [
+                    ("op_p50_ms", "ms"),
+                    ("op_tail_ms", "ms"),
+                    ("ops_per_s", "1/s"),
+                    ("peak_rss_mb", "MB"),
+                    ("recovered_frac", "ratio"),
+                    ("release_accuracy", "ratio"),
+                    ("setup_s", "s"),
+                ]
+            );
+            assert!(bench_gate(&parsed, &parsed, DEFAULT_BENCH_THRESHOLD).is_empty());
+
+            let wrong = line.replacen(r#""correct":true"#, r#""correct":false"#, 1);
+            assert_ne!(wrong, line);
+            assert!(
+                matches!(
+                    BenchFile::parse(&wrong),
+                    Err(qce_telemetry::bench::BenchError::Incorrect { failed: 0, .. })
+                ),
+                "{wrong}"
+            );
+        }
+        // The serve gate: the baseline's two costs, against the line.
+        let mut baseline = BenchFile::new("serve_mix");
+        baseline
+            .insert("op_p50_ms", 5.0, "ms")
+            .insert("op_tail_ms", 110.0, "ms");
+        let fresh = BenchFile::parse(SERVE_MIX).unwrap();
+        assert!(bench_gate(&fresh, &baseline, 1.5).is_empty());
+        assert_eq!(bench_gate(&fresh, &baseline, 0.0).len(), 2);
     }
 
     #[test]

@@ -191,16 +191,3 @@ pub fn load_scenarios(dir: &Path) -> Result<Vec<Scenario>> {
     }
     Ok(out)
 }
-
-/// Loads the golden report for `scenario` from `golden_dir`, mapping
-/// every unusable-golden shape (missing file, damaged container, newer
-/// format version, undecodable payload) to a diagnostic that names the
-/// remedy.
-///
-/// # Errors
-///
-/// [`HarnessError::Rebless`] for anything that `harness bless` would
-/// fix; [`HarnessError::Io`] only for non-recoverable I/O problems.
-pub fn load_golden(scenario: &Scenario, golden_dir: &Path) -> Result<ConformanceReport> {
-    ConformanceReport::read_golden(golden_dir, &scenario.name)
-}

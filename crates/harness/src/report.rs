@@ -216,12 +216,6 @@ impl ConformanceReport {
         ConformanceReport::from_payload(payload)
     }
 
-    /// Golden artifact path for `scenario` under `golden_dir`.
-    #[must_use]
-    pub fn golden_file(golden_dir: &Path, scenario: &str) -> PathBuf {
-        golden_path(golden_dir, scenario)
-    }
-
     /// Writes the golden artifact for this report under `golden_dir`,
     /// plus a human-readable `.json` mirror next to it (the mirror is
     /// write-only: `check` never reads it).

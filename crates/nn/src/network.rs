@@ -112,11 +112,6 @@ impl Network {
         Network { layers }
     }
 
-    /// Number of layers (composite blocks count as one).
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Runs the full forward pass.
     ///
     /// # Errors

@@ -24,7 +24,10 @@
 //!
 //! See `OPERATIONS.md` at the repository root for the wire protocol and
 //! an operator's guide, and `DESIGN.md` §5j for the stage-step state
-//! machine the workers drive.
+//! machine the workers drive. Serving latency is measured by the
+//! benchmark's `serve_mix` workload, which drives this crate's
+//! [`Server`] over HTTP and checks every served result; CI gates its
+//! result line.
 //!
 //! [`Scenario`]: qce_harness::Scenario
 
@@ -33,13 +36,11 @@
 
 pub mod http;
 mod job;
-mod load;
 pub mod queue;
 mod scheduler;
 mod server;
 
 pub use job::JobState;
-pub use load::{run_load, LevelStats, LoadConfig, LoadReport};
 pub use scheduler::{Scheduler, SchedulerConfig};
 pub use server::{Server, ServerConfig};
 

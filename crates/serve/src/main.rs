@@ -1,20 +1,20 @@
-//! `qce-serve` CLI: the serving daemon and its load generator.
+//! `qce-serve` CLI: the serving daemon.
 //!
 //! ```text
 //! qce-serve serve [--addr A] [--workers N] [--quota N] [--cache DIR] [--cache-max-bytes B]
-//! qce-serve load  [--addr A] [--jobs N] [--levels 1,4] [--seed-base S] [--out FILE]
 //! ```
 //!
 //! `serve` blocks until a client POSTs `/v1/shutdown`. Defaults come
 //! from `QCE_SERVE_ADDR` / `QCE_SERVE_WORKERS` / `QCE_SERVE_QUOTA` and
 //! the store's `QCE_CACHE` / `QCE_CACHE_MAX_BYTES`; flags win over the
-//! environment. See `OPERATIONS.md` for the wire protocol.
+//! environment. An unparsable worker count or quota exits 2, naming
+//! the flag or variable it came from. Serving latency is measured by
+//! the benchmark's `serve_mix` workload. See `OPERATIONS.md` for the
+//! wire protocol.
 
 use std::process::ExitCode;
 
-use qce_serve::{
-    run_load, LoadConfig, Server, ServerConfig, SERVE_ADDR_ENV, SERVE_QUOTA_ENV, SERVE_WORKERS_ENV,
-};
+use qce_serve::{Server, ServerConfig, SERVE_ADDR_ENV, SERVE_QUOTA_ENV, SERVE_WORKERS_ENV};
 use qce_store::StageCache;
 
 fn env_or(name: &str, fallback: &str) -> String {
@@ -32,33 +32,46 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: qce-serve serve [--addr A] [--workers N] [--quota N] [--cache DIR] [--cache-max-bytes B]\n       qce-serve load  [--addr A] [--jobs N] [--levels 1,4] [--seed-base S] [--out FILE]"
-    );
-    ExitCode::from(2)
+/// The count `flag` sets, else the one environment variable `env`
+/// sets, else `fallback`. A value that is not a count is an error that
+/// names where it came from.
+fn count_value(args: &[String], flag: &str, env: &str, fallback: usize) -> Result<usize, String> {
+    let (source, raw) = match flag_value(args, flag) {
+        Some(raw) => (flag, raw),
+        None => match std::env::var(env).ok().filter(|v| !v.trim().is_empty()) {
+            Some(raw) => (env, raw),
+            None => return Ok(fallback),
+        },
+    };
+    raw.trim()
+        .parse()
+        .map_err(|_| format!("{source} {raw:?} is not a non-negative integer"))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("serve") => cmd_serve(&args[1..]),
-        Some("load") => cmd_load(&args[1..]),
-        _ => usage(),
+        _ => {
+            eprintln!("usage: qce-serve serve [--addr A] [--workers N] [--quota N] [--cache DIR] [--cache-max-bytes B]");
+            ExitCode::from(2)
+        }
     }
 }
 
 fn cmd_serve(args: &[String]) -> ExitCode {
     let addr =
         flag_value(args, "--addr").unwrap_or_else(|| env_or(SERVE_ADDR_ENV, "127.0.0.1:7700"));
-    let workers = flag_value(args, "--workers")
-        .unwrap_or_else(|| env_or(SERVE_WORKERS_ENV, "2"))
-        .parse::<usize>()
-        .unwrap_or(2);
-    let quota = flag_value(args, "--quota")
-        .unwrap_or_else(|| env_or(SERVE_QUOTA_ENV, "0"))
-        .parse::<usize>()
-        .unwrap_or(0);
+    let (workers, quota) = match (
+        count_value(args, "--workers", SERVE_WORKERS_ENV, 2),
+        count_value(args, "--quota", SERVE_QUOTA_ENV, 0),
+    ) {
+        (Ok(workers), Ok(quota)) => (workers, quota),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("qce-serve: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let cache = resolve_cache(args);
 
     let server = match Server::start(ServerConfig {
@@ -101,63 +114,6 @@ fn resolve_cache(args: &[String]) -> Option<StageCache> {
     })
 }
 
-fn cmd_load(args: &[String]) -> ExitCode {
-    let defaults = LoadConfig::default();
-    let addr = flag_value(args, "--addr").unwrap_or_else(|| env_or(SERVE_ADDR_ENV, &defaults.addr));
-    let jobs = flag_value(args, "--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(defaults.jobs);
-    let levels: Vec<usize> = flag_value(args, "--levels")
-        .map(|v| v.split(',').filter_map(|p| p.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or(defaults.levels);
-    let seed_base = flag_value(args, "--seed-base")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(defaults.seed_base);
-    let out = flag_value(args, "--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
-
-    let cfg = LoadConfig {
-        addr,
-        jobs,
-        levels,
-        seed_base,
-    };
-    let report = match run_load(&cfg) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("qce-serve load: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for level in &report.levels {
-        println!(
-            "c{}: n={} jobs, p50 {:.1} ms, p90 {:.1} ms, p99 {:.1} ms, total {:.1} ms, {:.2} jobs/s",
-            level.concurrency,
-            level.jobs,
-            level.p50_ms,
-            level.p90_ms,
-            level.p99_ms,
-            level.total_ms,
-            level.throughput_jobs_per_s,
-        );
-    }
-    println!(
-        "warm: n={} jobs, p50 {:.1} ms, p99 {:.1} ms, dedup hit-rate {:.3} ({} hits, {} writes)",
-        report.warm.jobs,
-        report.warm.p50_ms,
-        report.warm.p99_ms,
-        report.dedup_hit_rate,
-        report.warm_store_hits,
-        report.warm_store_writes,
-    );
-    if let Err(e) = std::fs::write(&out, report.to_bench().to_json()) {
-        eprintln!("qce-serve load: writing {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out}");
-    ExitCode::SUCCESS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,5 +136,31 @@ mod tests {
             resolve_cache(&args(&["--cache", "c", "--cache-max-bytes", "lots"])),
             Some(cache)
         );
+    }
+
+    // Regression: `--quota 1O` used to run with no quota at all.
+    #[test]
+    fn malformed_counts_are_errors_naming_their_source() {
+        let unset = "QCE_SERVE_TEST_UNSET_COUNT";
+        assert_eq!(count_value(&args(&[]), "--quota", unset, 0), Ok(0));
+        assert_eq!(
+            count_value(&args(&["--quota", "3"]), "--quota", unset, 0),
+            Ok(3)
+        );
+        for bad in ["1O", "-1", "", "2.5"] {
+            let err = count_value(&args(&["--quota", bad]), "--quota", unset, 0).unwrap_err();
+            assert!(err.starts_with("--quota "), "{err}");
+        }
+
+        let env = "QCE_SERVE_TEST_BAD_COUNT";
+        std::env::set_var(env, "four");
+        let err = count_value(&args(&[]), "--workers", env, 2).unwrap_err();
+        assert!(err.starts_with(env), "{err}");
+        // The flag wins over a malformed environment value.
+        assert_eq!(
+            count_value(&args(&["--workers", "4"]), "--workers", env, 2),
+            Ok(4)
+        );
+        std::env::remove_var(env);
     }
 }

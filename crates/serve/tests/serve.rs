@@ -1,6 +1,6 @@
 //! End-to-end daemon tests over the real socket: submit/stream/cancel
-//! lifecycle, in-flight dedup, warm cache replay, quotas, typed errors,
-//! and the load generator's bench file.
+//! lifecycle, in-flight dedup, warm cache replay, quotas and typed
+//! errors.
 //!
 //! Telemetry counters are process-global, so every test takes the
 //! shared lock and asserts on counter *deltas*.
@@ -11,11 +11,10 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use qce::{BandRule, FlowConfig, Grouping, QuantConfig, QuantMethod};
-use qce_harness::{bench_gate, DatasetKind, DatasetSpec, Scenario, DEFAULT_BENCH_THRESHOLD};
+use qce_harness::{DatasetKind, DatasetSpec, Scenario};
 use qce_serve::http::http_request;
-use qce_serve::{run_load, LoadConfig, Server, ServerConfig};
+use qce_serve::{Server, ServerConfig};
 use qce_store::StageCache;
-use qce_telemetry::bench::BenchFile;
 use qce_telemetry::json::{parse, JsonValue};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -273,6 +272,7 @@ fn warm_resubmit_replays_from_cache_with_zero_recompute() {
     // Resubmit after completion: a *new* job that must replay entirely
     // from stage-cache checkpoints — hits for every stage, no writes.
     let hits_before = counter("store.hit");
+    let misses_before = counter("store.miss");
     let writes_before = counter("store.write");
     let (warm_id, deduped) = submit_ok(&addr, &target, "bob");
     assert_ne!(warm_id, cold_id);
@@ -284,8 +284,10 @@ fn warm_resubmit_replays_from_cache_with_zero_recompute() {
     assert_eq!(field(&warm, "state").as_str(), Some("done"));
 
     let hit_delta = counter("store.hit") - hits_before;
+    let miss_delta = counter("store.miss") - misses_before;
     let write_delta = counter("store.write") - writes_before;
     assert!(hit_delta >= 4, "expected >=4 stage hits, got {hit_delta}");
+    assert_eq!(miss_delta, 0, "warm resubmit must find every stage cached");
     assert_eq!(write_delta, 0, "warm resubmit must not recompute any stage");
 
     let warm_digests = format!("{:?}", field(field(&warm, "result"), "digests"));
@@ -451,45 +453,6 @@ fn deeply_nested_body_is_a_typed_error_not_a_crash() {
     );
     let (status, _) = http_request(&addr, "GET", "/healthz", &[], None).expect("healthz");
     assert_eq!(status, 200);
-
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(cache_dir);
-}
-
-// The load generator end to end: its bench file reads back through the
-// one bench reader and passes the harness gate against itself, and the
-// warm pass replays wholly from the stage cache.
-#[test]
-fn load_run_writes_a_bench_file_the_gate_accepts() {
-    let _guard = serial();
-    let (server, addr, cache_dir) = start_server("load", 2, 0);
-
-    let report = run_load(&LoadConfig {
-        addr,
-        jobs: 2,
-        levels: vec![1, 2],
-        seed_base: 31_000,
-    })
-    .expect("load run");
-    assert_eq!(report.warm_store_writes, 0, "warm pass recomputed a stage");
-    assert_eq!(report.warm_store_misses, 0);
-    assert!(report.warm_store_hits > 0);
-
-    let file = BenchFile::parse(&report.to_bench().to_json()).expect("bench file");
-    assert_eq!(file.bench, "serve");
-    let names: Vec<&str> = file.metrics.keys().map(String::as_str).collect();
-    assert_eq!(
-        names,
-        [
-            "serve_flow_c1.p50_ms",
-            "serve_flow_c1.p99_ms",
-            "serve_flow_c2.p50_ms",
-            "serve_flow_c2.p99_ms",
-            "serve_warm_resubmit.p50_ms",
-            "serve_warm_resubmit.p99_ms",
-        ]
-    );
-    assert!(bench_gate(&file, &file, DEFAULT_BENCH_THRESHOLD).is_empty());
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(cache_dir);

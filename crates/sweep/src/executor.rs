@@ -14,19 +14,18 @@
 //!    answers from that entry without even synthesizing the dataset,
 //!    so its `store.write` delta is zero.
 //!
-//! The pool itself is a [`WorkQueue`](qce_serve::queue::WorkQueue) of
-//! cell positions drained by a fixed set of threads. Per-cell metrics
+//! The pool itself is a fixed set of threads that take cell positions
+//! from one shared counter. Per-cell metrics
 //! come only from flow reports — never from process-global telemetry
 //! counters, which concurrent cells would interleave — so results are
 //! bit-identical at any worker count.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use qce::{AttackFlow, FaultedReport, FlowOutcome, Perturbation, StageReport};
 use qce_harness::RECOVERY_MAPE_CEILING;
-use qce_serve::queue::WorkQueue;
 use qce_store::codec::{ByteReader, ByteWriter};
 use qce_store::{section_kind, Artifact, CacheKey, StageCache};
 
@@ -68,11 +67,10 @@ pub struct CellRun {
 /// Runs `cells` across `opts.workers` threads and returns their runs in
 /// input order.
 ///
-/// The first failing cell aborts the run: the queue is closed, workers
-/// discard the remaining cells, and the error is returned. With
-/// `opts.limit`, only the first `n` cells are attempted and the result
-/// covers exactly those (a resumed run replays them from cache and
-/// continues).
+/// The first failing cell aborts the run: workers stop taking cells,
+/// and the error is returned. With `opts.limit`, only the first `n`
+/// cells are attempted and the result covers exactly those (a resumed
+/// run replays them from cache and continues).
 ///
 /// # Errors
 ///
@@ -80,12 +78,7 @@ pub struct CellRun {
 /// error), verbatim.
 pub fn run_cells(cells: &[Cell], opts: &ExecOptions) -> Result<Vec<CellRun>> {
     let take = opts.limit.unwrap_or(cells.len()).min(cells.len());
-    let queue: WorkQueue<usize> = WorkQueue::new();
-    for position in 0..take {
-        queue.push(0, position);
-    }
-    queue.close();
-
+    let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<CellRun>>> = Mutex::new(vec![None; take]);
     let failure: Mutex<Option<SweepError>> = Mutex::new(None);
     let abort = AtomicBool::new(false);
@@ -93,20 +86,19 @@ pub fn run_cells(cells: &[Cell], opts: &ExecOptions) -> Result<Vec<CellRun>> {
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
-                while let Some(position) = queue.pop() {
-                    if abort.load(Ordering::SeqCst) {
-                        continue;
+            scope.spawn(|| loop {
+                let position = next.fetch_add(1, Ordering::SeqCst);
+                if position >= take || abort.load(Ordering::SeqCst) {
+                    break;
+                }
+                match run_cell(&cells[position], opts) {
+                    Ok(run) => {
+                        slots.lock().expect("sweep results")[position] = Some(run);
                     }
-                    match run_cell(&cells[position], opts) {
-                        Ok(run) => {
-                            slots.lock().expect("sweep results")[position] = Some(run);
-                        }
-                        Err(e) => {
-                            abort.store(true, Ordering::SeqCst);
-                            let mut failure = failure.lock().expect("sweep failure");
-                            failure.get_or_insert(e);
-                        }
+                    Err(e) => {
+                        abort.store(true, Ordering::SeqCst);
+                        let mut failure = failure.lock().expect("sweep failure");
+                        failure.get_or_insert(e);
                     }
                 }
             });

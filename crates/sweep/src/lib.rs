@@ -5,8 +5,8 @@
 //! single scenario probes one point of it. This crate turns a committed
 //! JSON **grid spec** (explicit axis lists, cross-product expansion)
 //! into hundreds of [`FlowMachine`](qce::FlowMachine) flows, runs them
-//! on a worker pool built from the [`qce_serve::queue`] scheduling
-//! primitives, and folds the per-cell results into a [`SweepReport`]
+//! on a fixed worker pool, and folds the per-cell results into a
+//! [`SweepReport`]
 //! with a Pareto frontier over (accuracy, MAPE, recovered images, bit
 //! width).
 //!

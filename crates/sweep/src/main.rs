@@ -3,7 +3,7 @@
 //! ```text
 //! sweep expand --grid grid.json                      show the expansion
 //! sweep run    --grid grid.json --out DIR [--shard i/n] [--workers K]
-//!              [--cache DIR] [--limit N] [--bench BENCH_sweep.json]
+//!              [--cache DIR] [--limit N]
 //! sweep merge  --out DIR [--report FILE] [--markdown FILE]
 //! ```
 //!
@@ -11,7 +11,8 @@
 //! `DIR/partial-<i>of<n>.json`; `merge` folds every partial in `DIR`
 //! into the canonical `SweepReport.json`. Stats go to stdout as one
 //! JSON object per command — `store_write_delta` is `0` exactly when
-//! the run answered entirely from a warm cache.
+//! the run answered entirely from a warm cache. Cell time is measured
+//! by the benchmark's `sweep_grid` workload.
 //!
 //! Exit codes: 0 = pass, 2 = usage / spec / runtime error.
 
@@ -23,7 +24,7 @@ use qce_store::StageCache;
 use qce_sweep::{
     merge_partials, parse_grid, partial_json, run_cells, ExecOptions, Grid, SweepError,
 };
-use qce_telemetry::bench::{percentile, BenchFile};
+use qce_telemetry::bench::percentile;
 use qce_telemetry::json::ObjWriter;
 
 fn main() -> ExitCode {
@@ -66,8 +67,6 @@ options:
   --cache DIR      stage cache root (default: $QCE_CACHE when set)
   --limit N        run only the first N queued cells, then stop —
                    deterministic stand-in for a mid-run kill
-  --bench FILE     run: also write cell-timing stats as a bench file
-                   for `harness bench-gate`
   --report FILE    merge: report path (default: --out/SweepReport.json)
   --markdown FILE  merge: also render the leaderboard markdown";
 
@@ -79,7 +78,6 @@ struct Opts {
     workers: usize,
     cache: Option<PathBuf>,
     limit: Option<usize>,
-    bench: Option<PathBuf>,
     report: Option<PathBuf>,
     markdown: Option<PathBuf>,
 }
@@ -93,7 +91,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, SweepError> {
         workers: 1,
         cache: None,
         limit: None,
-        bench: None,
         report: None,
         markdown: None,
     };
@@ -141,7 +138,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, SweepError> {
                         SweepError::spec(format!("--limit {raw:?} is not an integer"))
                     })?);
             }
-            "--bench" => opts.bench = Some(PathBuf::from(value("--bench")?)),
             "--report" => opts.report = Some(PathBuf::from(value("--report")?)),
             "--markdown" => opts.markdown = Some(PathBuf::from(value("--markdown")?)),
             other => return Err(SweepError::spec(format!("unknown option {other:?}"))),
@@ -259,10 +255,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, SweepError> {
         .uint("store_hit_delta", delta("store.hit"))
         .uint("store_miss_delta", delta("store.miss"));
     println!("{}", stats.finish());
-
-    if let Some(bench_path) = &opts.bench {
-        write_bench(bench_path, &walls, wall_ms)?;
-    }
     Ok(ExitCode::SUCCESS)
 }
 
@@ -314,19 +306,6 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, SweepError> {
         .str("report", &report_path.display().to_string());
     println!("{}", stats.finish());
     Ok(ExitCode::SUCCESS)
-}
-
-/// Writes the cell-timing stats as a bench file (`sweep_cell.p50_ms`,
-/// `sweep_cell.p99_ms`, `sweep_total.wall_ms`) so `harness bench-gate`
-/// can diff them against a committed baseline. The run's stats line
-/// carries the ungated context (grid, cells, cells/s).
-fn write_bench(path: &Path, walls: &[f64], wall_ms: f64) -> Result<(), SweepError> {
-    let mut file = BenchFile::new("sweep");
-    file.insert("sweep_cell.p50_ms", percentile(walls, 50.0), "ms")
-        .insert("sweep_cell.p99_ms", percentile(walls, 99.0), "ms")
-        .insert("sweep_total.wall_ms", wall_ms, "ms");
-    std::fs::write(path, file.to_json())
-        .map_err(|e| SweepError::io(format!("writing {}", path.display()), e))
 }
 
 fn store_counters() -> std::collections::BTreeMap<String, u64> {

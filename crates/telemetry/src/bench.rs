@@ -1,5 +1,6 @@
-//! The one bench-file format: every `BENCH_*.json` writer emits a
-//! [`BenchFile`] and `harness bench-gate` reads it back through
+//! The one bench-record format: every `BENCH_*.json` writer emits a
+//! [`BenchFile`], and `harness bench-gate` reads bench files and the
+//! benchmark's (`qcebench`) result line back through
 //! [`BenchFile::parse`].
 //!
 //! ```text
@@ -12,12 +13,16 @@
 //! }
 //! ```
 //!
-//! `metrics` has the shape of the benchmark's (`qcebench`) metrics
-//! object: one `{value, unit}` per metric name, named
-//! `<row>.<measure>_<unit>`. Every metric in a bench file is a cost
-//! (lower is better) and is gated, so a value is finite and
-//! non-negative. Context nothing gates (thread counts, GFLOP/s,
-//! speedups) stays on the writer's progress line.
+//! `metrics` holds one `{value, unit}` per metric name. `bench` names
+//! the writer and is optional: the benchmark's last line,
+//! `{"correct","attempted","failed","metrics"}`, has none. A record
+//! whose `correct` is `false` comes from a run with wrong outputs and
+//! is rejected as [`BenchError::Incorrect`], so its timings can never
+//! pass a gate. Every value is finite and non-negative. The gate checks
+//! only the metrics its baseline names, and every committed baseline
+//! holds only costs (lower is better); context nothing gates (thread
+//! counts, GFLOP/s, throughput) rides along or stays on the writer's
+//! progress line.
 
 use std::collections::BTreeMap;
 
@@ -32,11 +37,12 @@ pub struct Metric {
     pub unit: String,
 }
 
-/// A bench file: which bench wrote it, and its metrics by name.
+/// A bench record: which bench wrote it, and its metrics by name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchFile {
-    /// The writer's name, e.g. `kernels` or `serve`.
-    pub bench: String,
+    /// The writer's name, e.g. `kernels`; `None` for a benchmark result
+    /// line.
+    pub bench: Option<String>,
     /// Every metric, keyed (and rendered) in name order.
     pub metrics: BTreeMap<String, Metric>,
 }
@@ -46,9 +52,17 @@ pub struct BenchFile {
 pub enum BenchError {
     /// Not JSON, or nested deeper than the [`json`] reader accepts.
     Json(String),
-    /// `bench` is not a string, or `metrics` (or one metric) is not an
-    /// object.
+    /// `bench` is not a string, `correct` is not a boolean, or
+    /// `metrics` (or one metric) is not an object.
     Shape(String),
+    /// The record says `"correct": false`: the run produced wrong
+    /// outputs, so its timings measure nothing worth gating.
+    Incorrect {
+        /// Ops the run reports as failed.
+        failed: u64,
+        /// Ops the run attempted.
+        attempted: u64,
+    },
     /// The named metric's value is missing, non-finite or negative.
     Value(String),
     /// The named metric's unit is missing or empty.
@@ -60,6 +74,11 @@ impl std::fmt::Display for BenchError {
         match self {
             BenchError::Json(e) => write!(f, "bench file is not JSON: {e}"),
             BenchError::Shape(what) => write!(f, "bench file: {what}"),
+            BenchError::Incorrect { failed, attempted } => write!(
+                f,
+                "bench record says \"correct\": false ({failed} of {attempted} ops failed): \
+                 a run with wrong outputs gates nothing"
+            ),
             BenchError::Value(name) => write!(
                 f,
                 "bench metric {name:?}: value must be a finite, non-negative number"
@@ -78,7 +97,7 @@ impl BenchFile {
     #[must_use]
     pub fn new(bench: &str) -> Self {
         BenchFile {
-            bench: bench.to_string(),
+            bench: Some(bench.to_string()),
             metrics: BTreeMap::new(),
         }
     }
@@ -102,9 +121,13 @@ impl BenchFile {
     /// [`parse`]: BenchFile::parse
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"bench\": ");
-        json::write_escaped(&mut out, &self.bench);
-        out.push_str(",\n  \"metrics\": {");
+        let mut out = String::from("{\n");
+        if let Some(bench) = &self.bench {
+            out.push_str("  \"bench\": ");
+            json::write_escaped(&mut out, bench);
+            out.push_str(",\n");
+        }
+        out.push_str("  \"metrics\": {");
         for (i, (name, metric)) in self.metrics.iter().enumerate() {
             out.push_str(if i == 0 { "\n    " } else { ",\n    " });
             json::write_escaped(&mut out, name);
@@ -117,21 +140,43 @@ impl BenchFile {
         out
     }
 
-    /// Reads a bench file, checking every metric.
+    /// Reads a bench file or a benchmark result line, checking every
+    /// metric.
     ///
     /// # Errors
     ///
-    /// A [`BenchError`] naming the first malformed part.
+    /// [`BenchError::Incorrect`] for a record whose `correct` is
+    /// `false`; otherwise a [`BenchError`] naming the first malformed
+    /// part.
     pub fn parse(body: &str) -> Result<Self, BenchError> {
         let doc = json::parse(body).map_err(BenchError::Json)?;
-        let bench = doc
-            .get("bench")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| BenchError::Shape("no \"bench\" string".to_string()))?;
+        match doc.get("correct") {
+            None | Some(JsonValue::Bool(true)) => {}
+            Some(JsonValue::Bool(false)) => {
+                let count = |key| doc.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
+                return Err(BenchError::Incorrect {
+                    failed: count("failed"),
+                    attempted: count("attempted"),
+                });
+            }
+            Some(_) => {
+                return Err(BenchError::Shape(
+                    "\"correct\" is not a boolean".to_string(),
+                ))
+            }
+        }
+        let bench = match doc.get("bench") {
+            None => None,
+            Some(JsonValue::Str(bench)) => Some(bench.clone()),
+            Some(_) => return Err(BenchError::Shape("\"bench\" is not a string".to_string())),
+        };
         let Some(JsonValue::Obj(entries)) = doc.get("metrics") else {
             return Err(BenchError::Shape("no \"metrics\" object".to_string()));
         };
-        let mut file = BenchFile::new(bench);
+        let mut file = BenchFile {
+            bench,
+            metrics: BTreeMap::new(),
+        };
         for (name, entry) in entries {
             if !matches!(entry, JsonValue::Obj(_)) {
                 return Err(BenchError::Shape(format!(
@@ -214,6 +259,13 @@ mod tests {
                 .len(),
             0
         );
+        // A benchmark result line names no bench, and renders without one.
+        let line = BenchFile {
+            bench: None,
+            ..file
+        };
+        assert!(!line.to_json().contains("bench"));
+        assert_eq!(BenchFile::parse(&line.to_json()).unwrap(), line);
     }
 
     #[test]
@@ -261,7 +313,8 @@ mod tests {
             r#"{"bench":"t","metrics":[]}"#,
             r#"{"bench":"t","metrics":3}"#,
             r#"{"bench":"t"}"#,
-            r#"{"metrics":{}}"#,
+            r#"{"bench":7,"metrics":{}}"#,
+            r#"{"correct":1,"metrics":{}}"#,
             r#"{"bench":"t","kernels":[{"name":"x","serial":1}]}"#,
         ] {
             assert!(
@@ -274,6 +327,21 @@ mod tests {
             Err(BenchError::Shape(_))
         ));
         assert!(matches!(BenchFile::parse("{"), Err(BenchError::Json(_))));
+    }
+
+    #[test]
+    fn an_incorrect_run_is_rejected_before_its_metrics() {
+        // The metric is malformed too: wrong outputs are named first.
+        let line = r#"{"correct":false,"attempted":40,"failed":2,"metrics":{"m":{"value":-1}}}"#;
+        let err = BenchFile::parse(line).unwrap_err();
+        assert_eq!(
+            err,
+            BenchError::Incorrect {
+                failed: 2,
+                attempted: 40
+            }
+        );
+        assert!(err.to_string().contains("2 of 40 ops failed"), "{err}");
     }
 
     #[test]

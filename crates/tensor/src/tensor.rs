@@ -117,11 +117,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reads the element at a multi-dimensional index.
     ///
     /// # Panics
@@ -246,13 +241,6 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_mut<F: Fn(f32) -> f32>(&mut self, f: F) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
