@@ -7,21 +7,16 @@
 //!   against the paper's correlation channel;
 //! * the same roster against the rotation-invariant statsign channel,
 //!   with the payload bit-error rate before ECC as the damage measure;
-//! * the image-level detector's recall on the attacked model;
-//! * wall-time and determinism of every defense transform plus the
-//!   resilient decoder, written to `BENCH_defense.json` for the
-//!   `harness bench-gate` regression check.
-
-use std::time::Instant;
+//! * the image-level detector's recall on the attacked model.
+//!
+//! Countermeasure and decode timings come from the benchmark's traced
+//! `release_arms` run (`defense.*_ms`, `attack.decode_ms`), which CI
+//! gates against `conformance/BENCH_defense_baseline.json`.
 
 use qce::audit::detect_encoded_images;
 use qce::{AttackFlow, BandRule, EncodingChannel, FlowConfig, Grouping, TrainedAttack};
-use qce_attack::correlation::SignConvention;
-use qce_attack::Decoder;
 use qce_bench::{banner, base_config, cifar_rgb, pct};
 use qce_defense::{DefenseKind, DefensePlan, RotationMode};
-use qce_telemetry::bench::BenchFile;
-use qce_tensor::par::Pool;
 
 /// MAPE ceiling under which a decoded image counts as recovered (matches
 /// the conformance harness's `recovered` metric).
@@ -149,8 +144,6 @@ fn main() {
         encoded.len()
     );
 
-    write_bench_json(&mut corr);
-
     qce_telemetry::progress!(
         "\nfinding: the arms race has two distinct regimes. Against the\n\
          correlation channel, value-preserving perturbations (noise,\n\
@@ -163,121 +156,4 @@ fn main() {
          is back to trading model quality for privacy. Detection and\n\
          training-code review remain the only defenses that win outright."
     );
-}
-
-// ---------------------------------------------------------------------------
-// Timing harness: per-defense wall time + seeded-determinism check,
-// written to BENCH_defense.json for `harness bench-gate`.
-// ---------------------------------------------------------------------------
-
-const TIMING_REPS: usize = 3;
-
-struct DefenseRow {
-    name: String,
-    /// Gated wall times in ms, one per leg: `wall` for a single-threaded
-    /// transform, `threads1`/`threads4` for the pool-parameterized
-    /// decoder.
-    legs: Vec<(&'static str, f64)>,
-    /// The two runs behind the row produced identical bytes.
-    identical: bool,
-}
-
-/// Minimum wall time of `TIMING_REPS` runs plus the produced weight bits.
-fn time_defense(trained: &mut TrainedAttack, plan: &DefensePlan) -> (f64, Vec<u32>) {
-    let mut best = f64::INFINITY;
-    let mut bits = Vec::new();
-    for _ in 0..TIMING_REPS {
-        trained.restore_float().expect("state restore failed");
-        let start = Instant::now();
-        trained
-            .defend_in_place(plan, "timing".to_string())
-            .expect("defense application failed");
-        best = best.min(start.elapsed().as_secs_f64());
-        bits = trained
-            .network()
-            .flat_weights()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-    }
-    trained.restore_float().expect("state restore failed");
-    (best, bits)
-}
-
-fn write_bench_json(corr: &mut TrainedAttack) {
-    qce_telemetry::progress!("\n4) defense transform timing and determinism:\n");
-    let mut rows = Vec::new();
-    for (name, plan) in roster() {
-        if plan.is_benign() {
-            continue;
-        }
-        // Defense transforms are single-threaded: one wall time, and the
-        // identity check asserts that a seeded plan re-applied to the
-        // same release is deterministic.
-        let (first_s, first_bits) = time_defense(corr, &plan);
-        let (second_s, second_bits) = time_defense(corr, &plan);
-        rows.push(DefenseRow {
-            name: format!("defense_{}", name.replace([' ', '%', '-'], "_")),
-            legs: vec![("wall", first_s.min(second_s) * 1e3)],
-            identical: first_bits == second_bits,
-        });
-    }
-
-    // The resilient decoder is the arms race's hot path and genuinely
-    // pool-parameterized: serial vs 4-thread, bit-identical by contract.
-    let decoder = Decoder::new(
-        corr.layout()
-            .expect("correlation flow has a layout")
-            .clone(),
-        SignConvention::Positive,
-    );
-    let flat = corr.network().flat_weights();
-    let time_decode = |pool: &Pool| -> (f64, Vec<u8>) {
-        let mut best = f64::INFINITY;
-        let mut bits = Vec::new();
-        for _ in 0..TIMING_REPS {
-            let start = Instant::now();
-            let out = decoder.decode_resilient_with(pool, &flat);
-            best = best.min(start.elapsed().as_secs_f64());
-            bits = out
-                .images
-                .iter()
-                .filter_map(|r| r.image.as_ref())
-                .flat_map(|img| img.pixels().to_vec())
-                .collect();
-        }
-        (best, bits)
-    };
-    let (serial_s, serial_bits) = time_decode(&Pool::serial());
-    let (parallel_s, parallel_bits) = time_decode(&Pool::with_threads(4));
-    rows.push(DefenseRow {
-        name: "decode_resilient".to_string(),
-        legs: vec![("threads1", serial_s * 1e3), ("threads4", parallel_s * 1e3)],
-        identical: serial_bits == parallel_bits,
-    });
-
-    let mut file = BenchFile::new("defenses");
-    for r in &rows {
-        let legs: Vec<String> = r
-            .legs
-            .iter()
-            .map(|(leg, ms)| format!("{leg} {ms:9.3} ms"))
-            .collect();
-        qce_telemetry::progress!(
-            "{:<32} {} | min of {TIMING_REPS} | identical={}",
-            r.name,
-            legs.join(" | "),
-            r.identical,
-        );
-        assert!(r.identical, "{}: non-deterministic output", r.name);
-        for (leg, ms) in &r.legs {
-            file.insert(format!("{}.{leg}_ms", r.name), *ms, "ms");
-        }
-    }
-
-    // The bench binary's cwd is the package dir; anchor the report at the
-    // workspace root so CI can pick it up from a stable path.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_defense.json");
-    std::fs::write(path, file.to_json()).expect("write BENCH_defense.json");
-    qce_telemetry::progress!("wrote {path}");
 }

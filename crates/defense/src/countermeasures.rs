@@ -482,29 +482,51 @@ mod tests {
 
     #[test]
     fn plans_reproduce_exactly_per_seed() {
-        let noise = DefensePlan::new(21).with(DefenseKind::NoiseWeights { fraction: 0.05 });
-        let plan = DefensePlan::new(21)
-            .with(DefenseKind::Rotation {
+        let x = init::uniform(&[16, 1, 8, 8], -1.0, 1.0, &mut init::seeded_rng(6));
+        let labels: Vec<usize> = (0..16).map(|i| i % 2).collect();
+        let ctx = DefenseContext::with_data(&x, &labels, 8);
+        let kinds = [
+            DefenseKind::Rotation {
                 mode: RotationMode::Permute,
-            })
-            .with(DefenseKind::NoiseWeights { fraction: 0.05 });
-        for p in [&noise, &plan] {
-            let mut x = net(9);
-            let mut y = net(9);
-            p.apply(&mut x, &DefenseContext::empty()).unwrap();
-            p.apply(&mut y, &DefenseContext::empty()).unwrap();
-            assert_eq!(x.flat_weights(), y.flat_weights(), "{p:?}");
+            },
+            DefenseKind::Rotation {
+                mode: RotationMode::QrBlend { strength: 0.4 },
+            },
+            DefenseKind::FinetuneScrub {
+                epochs: 1,
+                lr: 0.01,
+            },
+            DefenseKind::PruneScrub { fraction: 0.1 },
+            DefenseKind::Requantize { bits: 5 },
+            DefenseKind::NoiseWeights { fraction: 0.05 },
+        ];
+        let bits =
+            |n: &Network| -> Vec<u32> { n.flat_weights().iter().map(|w| w.to_bits()).collect() };
+        let untouched = bits(&net(9));
+        let mut plans: Vec<DefensePlan> = kinds
+            .iter()
+            .map(|&k| DefensePlan::new(21).with(k))
+            .collect();
+        plans.push(kinds.iter().fold(DefensePlan::new(21), |p, &k| p.with(k)));
+        for p in &plans {
+            let mut a = net(9);
+            let mut b = net(9);
+            p.apply(&mut a, &ctx).unwrap();
+            p.apply(&mut b, &ctx).unwrap();
+            assert_eq!(bits(&a), bits(&b), "{p:?}");
+            assert_ne!(bits(&a), untouched, "{p:?} moved no weight");
         }
-        let mut a = net(9);
-        plan.apply(&mut a, &DefenseContext::empty()).unwrap();
-        let mut c = net(9);
-        DefensePlan::new(22)
-            .with(DefenseKind::Rotation {
-                mode: RotationMode::Permute,
-            })
-            .with(DefenseKind::NoiseWeights { fraction: 0.05 })
-            .apply(&mut c, &DefenseContext::empty())
-            .unwrap();
-        assert_ne!(a.flat_weights(), c.flat_weights());
+        let seeded = |seed| {
+            let mut n = net(9);
+            DefensePlan::new(seed)
+                .with(DefenseKind::Rotation {
+                    mode: RotationMode::Permute,
+                })
+                .with(DefenseKind::NoiseWeights { fraction: 0.05 })
+                .apply(&mut n, &ctx)
+                .unwrap();
+            bits(&n)
+        };
+        assert_ne!(seeded(21), seeded(22));
     }
 }

@@ -21,9 +21,11 @@
 //!    epsilon-banded for floats (see [`Tolerances`]) — and fails on any
 //!    violation. `bless` regenerates the goldens; `bless` followed by
 //!    `check` is a fixed point.
-//! 4. `bench-gate` compares a fresh `BENCH_*.json` bench file against
-//!    a committed baseline and fails on a regression of any metric
-//!    beyond the configured threshold (20% by default).
+//! 4. `bench-gate` compares a fresh bench record (the benchmark's last
+//!    line) against a committed `conformance/BENCH_*.json` baseline and
+//!    fails on a regression of any baseline metric beyond the
+//!    configured threshold (20% by default), or on one that is missing
+//!    or not measured.
 //!
 //! The `harness` binary wires these into CI; see the README
 //! "Conformance" section for the workflow and the tolerance table.

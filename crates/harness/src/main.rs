@@ -6,9 +6,7 @@
 //! harness run        [--dir conformance] [--scenario NAME]   run + print report JSON
 //! harness bless      [--dir conformance] [--scenario NAME]   regenerate golden artifacts
 //! harness check      [--dir conformance] [--scenario NAME] [--out conformance-out]
-//! harness bench-gate [--fresh BENCH_kernels.json]   gate any BENCH_*.json
-//!                    [--baseline conformance/BENCH_baseline.json] [--threshold 0.20]
-//!                    [--trace-fresh run.jsonl --trace-baseline base.jsonl]
+//! harness bench-gate --fresh FRESH.json --baseline BASELINE.json [--threshold 0.20]
 //! ```
 //!
 //! Exit codes: 0 = pass, 1 = gate violation or unusable golden,
@@ -71,30 +69,25 @@ const USAGE: &str = "usage: harness <init|list|run|bless|check|leaderboard|bench
   bless       run scenarios and (re)write golden artifacts under --dir/golden
   check       run scenarios and diff against goldens; nonzero on any violation
   leaderboard render the defense-sweep reports under --out as a markdown table
-  bench-gate  diff a fresh BENCH_*.json bench file against its committed baseline
+  bench-gate  diff a fresh bench record against its committed baseline
 options:
   --dir DIR        conformance root (default: conformance)
   --tournament     init: write the tournament scenario set instead of the builtins
   --scenario NAME  restrict run/bless/check to one scenario
   --out DIR        where check writes fresh report JSON (default: conformance-out);
                    where leaderboard reads report JSON from
-  --fresh FILE     bench-gate: fresh bench output (default: BENCH_kernels.json)
-  --baseline FILE  bench-gate: baseline (default: conformance/BENCH_baseline.json)
-  --threshold X    bench-gate: relative slowdown allowed (default: 0.20)
-  --trace-fresh FILE     bench-gate: QCE_TRACE stream of the fresh run; on a
-                         violation the failure output names the spans that moved
-  --trace-baseline FILE  bench-gate: QCE_TRACE stream of the baseline run";
+  --fresh FILE     bench-gate: fresh bench record, e.g. a benchmark's last line (required)
+  --baseline FILE  bench-gate: committed baseline record (required)
+  --threshold X    bench-gate: relative slowdown allowed (default: 0.20)";
 
 struct Opts {
     dir: PathBuf,
     tournament: bool,
     scenario: Option<String>,
     out: PathBuf,
-    fresh: PathBuf,
+    fresh: Option<PathBuf>,
     baseline: Option<PathBuf>,
     threshold: f64,
-    trace_fresh: Option<PathBuf>,
-    trace_baseline: Option<PathBuf>,
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, HarnessError> {
@@ -103,11 +96,9 @@ fn parse_opts(args: &[String]) -> Result<Opts, HarnessError> {
         tournament: false,
         scenario: None,
         out: PathBuf::from("conformance-out"),
-        fresh: PathBuf::from("BENCH_kernels.json"),
+        fresh: None,
         baseline: None,
         threshold: qce_harness::DEFAULT_BENCH_THRESHOLD,
-        trace_fresh: None,
-        trace_baseline: None,
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -121,12 +112,8 @@ fn parse_opts(args: &[String]) -> Result<Opts, HarnessError> {
             "--tournament" => opts.tournament = true,
             "--scenario" => opts.scenario = Some(value("--scenario")?),
             "--out" => opts.out = PathBuf::from(value("--out")?),
-            "--fresh" => opts.fresh = PathBuf::from(value("--fresh")?),
+            "--fresh" => opts.fresh = Some(PathBuf::from(value("--fresh")?)),
             "--baseline" => opts.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--trace-fresh" => opts.trace_fresh = Some(PathBuf::from(value("--trace-fresh")?)),
-            "--trace-baseline" => {
-                opts.trace_baseline = Some(PathBuf::from(value("--trace-baseline")?));
-            }
             "--threshold" => {
                 let raw = value("--threshold")?;
                 opts.threshold = raw
@@ -286,11 +273,11 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, HarnessError> {
 
 fn cmd_bench_gate(args: &[String]) -> Result<ExitCode, HarnessError> {
     let opts = parse_opts(args)?;
-    let baseline_path = opts
-        .baseline
-        .unwrap_or_else(|| opts.dir.join("BENCH_baseline.json"));
-    let fresh = read_bench(&opts.fresh)?;
-    let baseline = read_bench(&baseline_path)?;
+    let required = |path: Option<PathBuf>, flag: &str| {
+        path.ok_or_else(|| HarnessError::spec(format!("bench-gate needs {flag} FILE")))
+    };
+    let fresh = read_bench(&required(opts.fresh, "--fresh")?)?;
+    let baseline = read_bench(&required(opts.baseline, "--baseline")?)?;
     let violations = bench_gate(&fresh, &baseline, opts.threshold);
     if violations.is_empty() {
         eprintln!(
@@ -301,33 +288,7 @@ fn cmd_bench_gate(args: &[String]) -> Result<ExitCode, HarnessError> {
         return Ok(ExitCode::SUCCESS);
     }
     report_violations("bench", &violations);
-    print_trace_attribution(&opts.trace_baseline, &opts.trace_fresh);
     Ok(ExitCode::from(1))
-}
-
-/// On a bench-gate failure, explains *where* the time went: diffs the
-/// baseline and fresh `QCE_TRACE` streams (when both were supplied) and
-/// prints the per-span attribution, ending with the top regressing span.
-/// Trace problems only warn — the gate verdict is already decided by the
-/// bench numbers, so a missing or damaged trace must not mask it.
-fn print_trace_attribution(baseline: &Option<PathBuf>, fresh: &Option<PathBuf>) {
-    let (Some(baseline), Some(fresh)) = (baseline, fresh) else {
-        if baseline.is_some() || fresh.is_some() {
-            eprintln!("bench-gate: span attribution needs both --trace-baseline and --trace-fresh");
-        }
-        return;
-    };
-    let load = |path: &PathBuf| match qce_obs::Trace::load(path) {
-        Ok(trace) => Some(trace),
-        Err(e) => {
-            eprintln!("bench-gate: skipping span attribution: {e}");
-            None
-        }
-    };
-    let (Some(base_t), Some(fresh_t)) = (load(baseline), load(fresh)) else {
-        return;
-    };
-    eprint!("{}", qce_obs::attribution_report(&base_t, &fresh_t, 10));
 }
 
 fn report_violations(what: &str, violations: &[Violation]) {

@@ -90,8 +90,8 @@ pub fn diff_traces(baseline: &Trace, fresh: &Trace) -> Vec<LabelDelta> {
 }
 
 /// Renders a human-readable attribution report for the top `top`
-/// movers. `harness bench-gate` prints this when a gate fails so the
-/// failure names the span whose duration moved, not just a percentage.
+/// movers, so a regression names the span whose duration moved, not
+/// just a percentage. `obs diff` prints it.
 #[must_use]
 pub fn attribution_report(baseline: &Trace, fresh: &Trace, top: usize) -> String {
     let deltas = diff_traces(baseline, fresh);

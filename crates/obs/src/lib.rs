@@ -15,8 +15,8 @@
 //!   with child intervals clamped to the parent, exact p50/p90/p99)
 //!   and critical-path extraction.
 //! - [`diff`] — pairs two traces label-by-label and ranks the deltas,
-//!   naming the specific span whose duration moved; used by
-//!   `harness bench-gate` to explain failures.
+//!   naming the specific span whose duration moved; `obs diff`
+//!   prints it for two runs' traces.
 //! - [`flame`] — folded stacks and a hand-rolled flame-chart SVG
 //!   (x = start time, width = duration, row = depth).
 //!

@@ -1,7 +1,8 @@
 //! Property-based tests of the quantization invariants (DESIGN.md §6)
 //! and of compute-backend determinism (DESIGN.md "Compute backend &
 //! determinism"): fits and bulk assignments must be bit-for-bit equal
-//! between the serial reference and every parallel pool.
+//! between the scalar serial reference and every parallel pool at every
+//! SIMD dispatch level.
 
 use proptest::prelude::*;
 use qce_quant::{
@@ -12,6 +13,20 @@ use qce_tensor::par::Pool;
 
 fn weights_strategy() -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-10.0f32..10.0, 64..512)
+}
+
+/// The SIMD dispatch level is process-global state; the tests that flip
+/// it hold this lock so one cannot compare a level the other just set.
+static LEVEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Every dispatch level available on this host, scalar first.
+fn simd_levels() -> Vec<qce_tensor::simd::Level> {
+    use qce_tensor::simd::{self, Level};
+    if simd::detect() == Level::Avx2 {
+        vec![Level::Scalar, Level::Avx2]
+    } else {
+        vec![Level::Scalar]
+    }
 }
 
 fn check_codebook_invariants(cb: &Codebook, weights: &[f32]) -> Result<(), TestCaseError> {
@@ -123,6 +138,7 @@ proptest! {
         levels in 2usize..33,
         pixel_seed in 0u64..1000,
     ) {
+        use qce_tensor::simd;
         let mut rng = qce_tensor::init::seeded_rng(pixel_seed);
         use rand::RngExt;
         let pixels: Vec<u8> = (0..512).map(|_| rng.random_range(0u32..256) as u8).collect();
@@ -132,18 +148,33 @@ proptest! {
             Box::new(WeightedEntropyQuantizer::new(levels).unwrap()),
             Box::new(TargetCorrelatedQuantizer::new(levels, &pixels).unwrap()),
         ];
+        let _guard = LEVEL_LOCK.lock().unwrap();
         for q in &quantizers {
-            let reference = q.fit_with(&Pool::serial(), &weights).unwrap();
-            for threads in [1usize, 2, 3, 8] {
-                let cb = q.fit_with(&Pool::with_threads(threads), &weights).unwrap();
-                let reps_eq = cb.representatives().iter().zip(reference.representatives())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                let bounds_eq = cb.boundaries().iter().zip(reference.boundaries())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                prop_assert!(
-                    reps_eq && bounds_eq,
-                    "{} fit differs at threads={}", q.name(), threads
-                );
+            let prev = simd::set_active(simd_levels()[0]);
+            let reference = q.fit_with(&Pool::serial(), &weights);
+            simd::set_active(prev);
+            let reference = reference.unwrap();
+            for &level in &simd_levels() {
+                for threads in [1usize, 2, 3, 8] {
+                    let prev = simd::set_active(level);
+                    let cb = q.fit_with(&Pool::with_threads(threads), &weights);
+                    simd::set_active(prev);
+                    let cb = cb.unwrap();
+                    let ctx = format!("{} fit at level={} threads={}", q.name(), level.name(), threads);
+                    prop_assert_eq!(
+                        cb.representatives().len(), reference.representatives().len(),
+                        "{} representative count", &ctx
+                    );
+                    prop_assert_eq!(
+                        cb.boundaries().len(), reference.boundaries().len(),
+                        "{} boundary count", &ctx
+                    );
+                    let reps_eq = cb.representatives().iter().zip(reference.representatives())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    let bounds_eq = cb.boundaries().iter().zip(reference.boundaries())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    prop_assert!(reps_eq && bounds_eq, "{} differs from scalar serial", ctx);
+                }
             }
         }
     }
@@ -170,7 +201,7 @@ proptest! {
         levels in 2usize..33,
         seed in 0u64..500,
     ) {
-        use qce_tensor::simd::{self, Level};
+        use qce_tensor::simd;
         // Lengths 1..=17 hit every remainder class of the 8-wide AVX2
         // rank_count body; 40_000 exercises the chunked parallel path.
         let mut lens: Vec<usize> = (1..=17).collect();
@@ -179,15 +210,11 @@ proptest! {
         use rand::RngExt;
         let all: Vec<f32> = (0..40_000).map(|_| rng.random_range(-10.0..10.0)).collect();
         let cb = KMeansQuantizer::new(levels).unwrap().fit_with(&Pool::serial(), &all).unwrap();
-        let simd_levels = if simd::detect() == Level::Avx2 {
-            vec![Level::Scalar, Level::Avx2]
-        } else {
-            vec![Level::Scalar]
-        };
+        let _guard = LEVEL_LOCK.lock().unwrap();
         for &len in &lens {
             let w = &all[..len];
             let want: Vec<u32> = w.iter().map(|&x| cb.assign_value(x) as u32).collect();
-            for &lvl in &simd_levels {
+            for &lvl in &simd_levels() {
                 let prev = simd::set_active(lvl);
                 for threads in [1usize, 2, 4] {
                     let pool = Pool::with_threads(threads);
@@ -197,7 +224,7 @@ proptest! {
                         prop_assert!(false, "assign len={} level={} threads={}", len, lvl.name(), threads);
                     }
                     let q = cb.quantize_with(&pool, w);
-                    let same = q.iter().zip(&want)
+                    let same = q.len() == want.len() && q.iter().zip(&want)
                         .all(|(a, &i)| a.to_bits() == cb.representatives()[i as usize].to_bits());
                     if !same {
                         simd::set_active(prev);

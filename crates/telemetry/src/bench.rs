@@ -1,49 +1,48 @@
-//! The one bench-record format: every `BENCH_*.json` writer emits a
-//! [`BenchFile`], and `harness bench-gate` reads bench files and the
-//! benchmark's (`qcebench`) result line back through
-//! [`BenchFile::parse`].
+//! The one bench-record format: `harness bench-gate` reads the
+//! benchmark's (`qcebench`) result line and the committed
+//! `conformance/BENCH_*.json` baselines through [`BenchFile::parse`].
 //!
 //! ```text
 //! {
-//!   "bench": "kernels",
+//!   "bench": "release_arms",
 //!   "metrics": {
-//!     "matmul_128x256x128.threads1_ms": {"value":0.1621,"unit":"ms"},
+//!     "tensor.conv_fwd.s0_ms": {"value":0.3925,"unit":"ms"},
 //!     ...
 //!   }
 //! }
 //! ```
 //!
 //! `metrics` holds one `{value, unit}` per metric name. `bench` names
-//! the writer and is optional: the benchmark's last line,
-//! `{"correct","attempted","failed","metrics"}`, has none. A record
-//! whose `correct` is `false` comes from a run with wrong outputs and
-//! is rejected as [`BenchError::Incorrect`], so its timings can never
-//! pass a gate. Every value is finite and non-negative. The gate checks
-//! only the metrics its baseline names, and every committed baseline
-//! holds only costs (lower is better); context nothing gates (thread
-//! counts, GFLOP/s, throughput) rides along or stays on the writer's
-//! progress line.
+//! the workload a baseline was recorded from and is optional: the
+//! benchmark's last line, `{"correct","attempted","failed","metrics"}`,
+//! has none. A record whose `correct` is `false` comes from a run with
+//! wrong outputs and is rejected as [`BenchError::Incorrect`], so its
+//! timings can never pass a gate. Every value is finite, and
+//! non-negative unless its unit is `%` (a signed difference). The gate
+//! checks only the metrics its baseline names, and every committed
+//! baseline holds only costs (lower is better); the rest of the
+//! benchmark's line (throughput, ratios, GFLOP/s) rides along ungated.
 
 use std::collections::BTreeMap;
 
-use crate::json::{self, JsonValue, ObjWriter};
+use crate::json::{self, JsonValue};
 
-/// One measured value and its unit (`ms` for every committed writer).
+/// One measured value and its unit (`ms` for every committed baseline).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
-    /// The measurement; finite and non-negative.
+    /// The measurement; finite, and non-negative unless `unit` is `%`.
     pub value: f64,
     /// Its unit; never empty.
     pub unit: String,
 }
 
-/// A bench record: which bench wrote it, and its metrics by name.
+/// A bench record: the workload it came from, and its metrics by name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchFile {
-    /// The writer's name, e.g. `kernels`; `None` for a benchmark result
-    /// line.
+    /// The workload a baseline was recorded from, e.g. `release_arms`;
+    /// `None` for a benchmark result line.
     pub bench: Option<String>,
-    /// Every metric, keyed (and rendered) in name order.
+    /// Every metric, keyed in name order.
     pub metrics: BTreeMap<String, Metric>,
 }
 
@@ -63,7 +62,8 @@ pub enum BenchError {
         /// Ops the run attempted.
         attempted: u64,
     },
-    /// The named metric's value is missing, non-finite or negative.
+    /// The named metric's value is missing, non-finite, or negative
+    /// with a unit other than `%`.
     Value(String),
     /// The named metric's unit is missing or empty.
     Unit(String),
@@ -81,7 +81,7 @@ impl std::fmt::Display for BenchError {
             ),
             BenchError::Value(name) => write!(
                 f,
-                "bench metric {name:?}: value must be a finite, non-negative number"
+                "bench metric {name:?}: value must be a finite number, non-negative unless its unit is %"
             ),
             BenchError::Unit(name) => {
                 write!(f, "bench metric {name:?}: unit must be a non-empty string")
@@ -93,53 +93,6 @@ impl std::fmt::Display for BenchError {
 impl std::error::Error for BenchError {}
 
 impl BenchFile {
-    /// An empty file for bench `bench`.
-    #[must_use]
-    pub fn new(bench: &str) -> Self {
-        BenchFile {
-            bench: Some(bench.to_string()),
-            metrics: BTreeMap::new(),
-        }
-    }
-
-    /// Records metric `name` (replacing an earlier value of that name).
-    pub fn insert(&mut self, name: impl Into<String>, value: f64, unit: &str) -> &mut Self {
-        self.metrics.insert(
-            name.into(),
-            Metric {
-                value,
-                unit: unit.to_string(),
-            },
-        );
-        self
-    }
-
-    /// Renders the file: one metric per line, so committed baselines
-    /// diff line by line. Values keep every bit through [`parse`]
-    /// (shortest round-trip decimal).
-    ///
-    /// [`parse`]: BenchFile::parse
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        if let Some(bench) = &self.bench {
-            out.push_str("  \"bench\": ");
-            json::write_escaped(&mut out, bench);
-            out.push_str(",\n");
-        }
-        out.push_str("  \"metrics\": {");
-        for (i, (name, metric)) in self.metrics.iter().enumerate() {
-            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            json::write_escaped(&mut out, name);
-            let mut entry = ObjWriter::new();
-            entry.num("value", metric.value).str("unit", &metric.unit);
-            out.push_str(": ");
-            out.push_str(&entry.finish());
-        }
-        out.push_str("\n  }\n}\n");
-        out
-    }
-
     /// Reads a bench file or a benchmark result line, checking every
     /// metric.
     ///
@@ -183,17 +136,26 @@ impl BenchFile {
                     "metric {name:?} is not an object"
                 )));
             }
-            let value = entry
-                .get("value")
-                .and_then(JsonValue::as_f64)
-                .filter(|v| v.is_finite() && *v >= 0.0)
-                .ok_or_else(|| BenchError::Value(name.clone()))?;
             let unit = entry
                 .get("unit")
                 .and_then(JsonValue::as_str)
                 .filter(|u| !u.is_empty())
                 .ok_or_else(|| BenchError::Unit(name.clone()))?;
-            file.insert(name.clone(), value, unit);
+            // A `%` metric is a signed difference (the benchmark's
+            // `trace.overhead_pct` is negative when its traced phase ran
+            // faster); every other unit measures a non-negative amount.
+            let value = entry
+                .get("value")
+                .and_then(JsonValue::as_f64)
+                .filter(|v| v.is_finite() && (*v >= 0.0 || unit == "%"))
+                .ok_or_else(|| BenchError::Value(name.clone()))?;
+            file.metrics.insert(
+                name.clone(),
+                Metric {
+                    value,
+                    unit: unit.to_string(),
+                },
+            );
         }
         Ok(file)
     }
@@ -243,35 +205,47 @@ mod tests {
 
     #[test]
     fn round_trip_keeps_every_bit() {
-        let mut file = BenchFile::new("serve");
-        file.insert("serve_flow_c1.p50_ms", 79.754_336_999_999_99, "ms")
-            .insert("serve_flow_c1.p99_ms", 0.1, "ms")
-            .insert("zero.wall_ms", 0.0, "ms");
-        let back = BenchFile::parse(&file.to_json()).unwrap();
-        assert_eq!(back, file);
-        for (name, metric) in &file.metrics {
-            assert_eq!(back.metrics[name].value.to_bits(), metric.value.to_bits());
-        }
+        // A committed value reads back as the f64 whose shortest
+        // round-trip decimal is the committed text, so a baseline
+        // re-rendered from its parse diffs clean.
+        let body = r#"{
+          "bench": "serve_mix",
+          "metrics": {
+            "op_p50_ms": {"value":79.75433699999999,"unit":"ms"},
+            "op_tail_ms": {"value":0.1,"unit":"ms"},
+            "zero_ms": {"value":0,"unit":"ms"}
+          }
+        }"#;
+        let file = BenchFile::parse(body).unwrap();
+        assert_eq!(file.bench.as_deref(), Some("serve_mix"));
+        let values: Vec<(&str, String)> = file
+            .metrics
+            .iter()
+            .map(|(name, m)| (name.as_str(), m.value.to_string()))
+            .collect();
         assert_eq!(
-            BenchFile::parse(&BenchFile::new("empty").to_json())
-                .unwrap()
-                .metrics
-                .len(),
-            0
+            values,
+            [
+                ("op_p50_ms", "79.75433699999999".to_string()),
+                ("op_tail_ms", "0.1".to_string()),
+                ("zero_ms", "0".to_string()),
+            ]
         );
-        // A benchmark result line names no bench, and renders without one.
-        let line = BenchFile {
-            bench: None,
-            ..file
-        };
-        assert!(!line.to_json().contains("bench"));
-        assert_eq!(BenchFile::parse(&line.to_json()).unwrap(), line);
+        assert!(BenchFile::parse(r#"{"bench":"empty","metrics":{}}"#)
+            .unwrap()
+            .metrics
+            .is_empty());
+        // A benchmark result line names no bench.
+        let line = r#"{"correct":true,"metrics":{"m":{"value":1.5,"unit":"ms"}}}"#;
+        let parsed = BenchFile::parse(line).unwrap();
+        assert_eq!(parsed.bench, None);
+        assert_eq!(parsed.metrics["m"].value, 1.5);
     }
 
     #[test]
     fn non_finite_or_negative_values_are_rejected() {
-        // 1e999 overflows to +inf in the reader; a writer's NaN renders
-        // as `null`.
+        // 1e999 overflows to +inf in the reader; a NaN written through
+        // `ObjWriter` renders as `null`.
         for value in ["1e999", "-1e999", "-0.5", "null", "\"3\""] {
             let body = one_metric(&format!(r#"{{"value":{value},"unit":"ms"}}"#));
             assert_eq!(
@@ -284,10 +258,11 @@ mod tests {
             BenchFile::parse(&one_metric(r#"{"unit":"ms"}"#)),
             Err(BenchError::Value("m".to_string()))
         );
-        let mut nan = BenchFile::new("t");
-        nan.insert("m", f64::NAN, "ms");
+        // A percentage is a signed difference, but still finite.
+        let pct = BenchFile::parse(&one_metric(r#"{"value":-10.5,"unit":"%"}"#)).unwrap();
+        assert_eq!(pct.metrics["m"].value, -10.5);
         assert_eq!(
-            BenchFile::parse(&nan.to_json()),
+            BenchFile::parse(&one_metric(r#"{"value":-1e999,"unit":"%"}"#)),
             Err(BenchError::Value("m".to_string()))
         );
     }

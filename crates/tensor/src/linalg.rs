@@ -15,8 +15,7 @@
 //! dense (or magnitude-pruned) weight matrices this workspace multiplies,
 //! a data-dependent `if aip == 0.0 { continue; }` mispredicts and starves
 //! the FMA pipeline. Sparse inputs belong to a dedicated sparse kernel,
-//! not a branch in the dense one; `crates/bench/benches/kernels.rs`
-//! carries a dense-vs-pruned comparison guarding this decision.
+//! not a branch in the dense one.
 
 use crate::par::{self, Pool};
 use crate::simd::{self, NR};
