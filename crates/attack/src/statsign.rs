@@ -581,11 +581,6 @@ impl StatSignRegularizer {
             active,
         })
     }
-
-    /// Number of carrier weights the penalty acts on.
-    pub fn carrier_weights(&self) -> usize {
-        self.active
-    }
 }
 
 impl Regularizer for StatSignRegularizer {
@@ -847,7 +842,7 @@ mod tests {
         let mut n = net();
         let layout = StatSignLayout::plan(&n, &images(16), Ecc::Hamming74).unwrap();
         let mut reg = StatSignRegularizer::new(&layout, 30.0).unwrap();
-        assert!(reg.carrier_weights() > 0);
+        assert!(reg.active > 0);
         let before = reg.apply(&mut n).unwrap();
         assert!(before > 0.0);
         // A perfectly planted channel has zero penalty.

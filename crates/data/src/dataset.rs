@@ -193,15 +193,6 @@ impl Dataset {
         self.images.iter().map(Image::pixel_std).collect()
     }
 
-    /// Number of samples per class, indexed by class label.
-    pub fn class_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.classes];
-        for &l in &self.labels {
-            counts[l] += 1;
-        }
-        counts
-    }
-
     /// Iterates `(image, label)` pairs in dataset order.
     pub fn iter(&self) -> impl Iterator<Item = (&Image, usize)> + '_ {
         self.images.iter().zip(self.labels.iter().copied())
@@ -306,7 +297,11 @@ mod tests {
     #[test]
     fn class_counts_and_iter() {
         let d = make(7); // labels cycle 0,1,2
-        assert_eq!(d.class_counts(), vec![3, 2, 2]);
+        let mut counts = vec![0usize; d.classes()];
+        for (_, l) in d.iter() {
+            counts[l] += 1;
+        }
+        assert_eq!(counts, vec![3, 2, 2]);
         let pairs: Vec<(u8, usize)> = d.iter().map(|(img, l)| (img.pixels()[0], l)).collect();
         assert_eq!(pairs.len(), 7);
         assert_eq!(pairs[3], (3, 0));

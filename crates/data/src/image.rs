@@ -129,11 +129,6 @@ impl Image {
         stats::std_dev(&self.to_f32())
     }
 
-    /// Mean of all pixel values.
-    pub fn pixel_mean(&self) -> f32 {
-        stats::mean(&self.to_f32())
-    }
-
     /// Converts to single-channel grayscale using the Rec.601 luma weights
     /// (identity for already-gray images).
     pub fn to_grayscale(&self) -> Image {
@@ -216,7 +211,6 @@ mod tests {
     fn pixel_statistics() {
         let flat = Image::new(vec![100; 9], 1, 3, 3).unwrap();
         assert_eq!(flat.pixel_std(), 0.0);
-        assert_eq!(flat.pixel_mean(), 100.0);
         let contrasty = Image::new(vec![0, 255, 0, 255], 1, 2, 2).unwrap();
         assert!(contrasty.pixel_std() > 100.0);
     }

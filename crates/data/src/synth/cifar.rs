@@ -3,6 +3,13 @@ use rand::{Rng, RngExt};
 use crate::synth::to_pixel;
 use crate::{DataError, Dataset, Image, Result};
 
+/// Range of the per-image contrast factor; the pixel std is about
+/// `contrast * 85`.
+const CONTRAST: std::ops::Range<f32> = 0.12..1.0;
+
+/// Standard deviation of the additive pixel noise.
+const NOISE: f32 = 30.0;
+
 /// Procedural 10-class image generator standing in for CIFAR-10.
 ///
 /// Each class is a distinct mixture of oriented gratings and radial rings
@@ -29,9 +36,6 @@ pub struct SynthCifar {
     size: usize,
     rgb: bool,
     classes: usize,
-    contrast_lo: f32,
-    contrast_hi: f32,
-    noise: f32,
 }
 
 impl SynthCifar {
@@ -41,9 +45,6 @@ impl SynthCifar {
             size,
             rgb: true,
             classes: 10,
-            contrast_lo: 0.12,
-            contrast_hi: 1.0,
-            noise: 30.0,
         }
     }
 
@@ -59,20 +60,6 @@ impl SynthCifar {
         self
     }
 
-    /// Overrides the per-image contrast range, which controls the
-    /// pixel-std spectrum (`std ≈ contrast * 85`).
-    pub fn contrast_range(mut self, lo: f32, hi: f32) -> Self {
-        self.contrast_lo = lo;
-        self.contrast_hi = hi;
-        self
-    }
-
-    /// Overrides the additive pixel-noise standard deviation.
-    pub fn noise(mut self, noise: f32) -> Self {
-        self.noise = noise;
-        self
-    }
-
     /// Generates `n` labelled images deterministically from `seed`.
     ///
     /// Labels cycle through the classes so every class is (near-)equally
@@ -80,20 +67,11 @@ impl SynthCifar {
     ///
     /// # Errors
     ///
-    /// Returns [`DataError::InvalidConfig`] for zero size/classes/samples
-    /// or an inverted contrast range.
+    /// Returns [`DataError::InvalidConfig`] for zero size/classes/samples.
     pub fn generate(&self, n: usize, seed: u64) -> Result<Dataset> {
         if self.size == 0 || self.classes == 0 || n == 0 {
             return Err(DataError::InvalidConfig {
                 reason: "size, classes and n must be non-zero".to_string(),
-            });
-        }
-        if self.contrast_lo >= self.contrast_hi || self.contrast_lo <= 0.0 {
-            return Err(DataError::InvalidConfig {
-                reason: format!(
-                    "contrast range [{}, {}] invalid",
-                    self.contrast_lo, self.contrast_hi
-                ),
             });
         }
         let mut rng = qce_tensor::init::seeded_rng(seed);
@@ -128,7 +106,7 @@ impl SynthCifar {
         let (cos_t, sin_t) = (theta.cos(), theta.sin());
         let freq = freq * rng.random_range(0.78..1.28);
         let mix = (mix + rng.random_range(-0.22..0.22)).clamp(0.0, 1.0);
-        let contrast: f32 = rng.random_range(self.contrast_lo..self.contrast_hi);
+        let contrast: f32 = rng.random_range(CONTRAST);
         let brightness: f32 = rng.random_range(-12.0..12.0);
         let amplitude = 215.0 * contrast;
 
@@ -148,7 +126,7 @@ impl SynthCifar {
                 let r = (u * u + v * v).sqrt();
                 let rings = (std::f32::consts::TAU * ring_freq * r + phase).cos();
                 let pattern = mix * grating + (1.0 - mix) * rings;
-                let noise = self.noise * qce_tensor::init::standard_normal(rng);
+                let noise = NOISE * qce_tensor::init::standard_normal(rng);
                 for (c, &t) in tint.iter().enumerate() {
                     let val = 128.0 + brightness + t * amplitude * pattern + noise;
                     pixels[c * plane + y * self.size + x] = to_pixel(val);
@@ -201,14 +179,19 @@ mod tests {
 
     #[test]
     fn classes_are_visually_distinct() {
-        // Mean absolute pixel difference between class exemplars with the
-        // same jitter seed should be large.
-        let d = SynthCifar::new(16)
-            .contrast_range(0.9, 1.0)
-            .generate(10, 3)
-            .unwrap();
-        let a = d.image(0).to_f32();
-        let b = d.image(1).to_f32();
+        // Mean absolute pixel difference between high-contrast exemplars
+        // of two classes should be large.
+        let d = SynthCifar::new(16).generate(100, 3).unwrap();
+        let stds = d.pixel_stds();
+        let exemplar = |class: usize| {
+            let best = (class..d.len())
+                .step_by(10)
+                .max_by(|&i, &j| stds[i].total_cmp(&stds[j]))
+                .unwrap();
+            d.image(best).to_f32()
+        };
+        let a = exemplar(0);
+        let b = exemplar(1);
         let mad: f32 = a.iter().zip(&b).map(|(x, y)| (x - y).abs()).sum::<f32>() / a.len() as f32;
         assert!(mad > 20.0, "classes look identical, mad={mad}");
     }
@@ -217,9 +200,6 @@ mod tests {
     fn invalid_configs_rejected() {
         assert!(SynthCifar::new(0).generate(1, 0).is_err());
         assert!(SynthCifar::new(8).generate(0, 0).is_err());
-        assert!(SynthCifar::new(8)
-            .contrast_range(0.9, 0.1)
-            .generate(1, 0)
-            .is_err());
+        assert!(SynthCifar::new(8).classes(0).generate(1, 0).is_err());
     }
 }

@@ -366,7 +366,10 @@ mod tests {
 
     #[test]
     fn scenario_overrides_layer_over_defaults() {
-        let mut scenario = crate::Scenario::builtin()[0].clone();
+        let mut scenario = crate::Scenario::from_json(include_str!(
+            "../../../conformance/scenarios/quant2_weq.json"
+        ))
+        .unwrap();
         scenario
             .tolerance_overrides
             .push(("accuracy".to_string(), 0.5));

@@ -33,10 +33,11 @@
 //! # Example: bless and re-check in-process
 //!
 //! ```no_run
-//! use qce_harness::{diff_reports, run_scenario, Scenario, Tolerances};
+//! use qce_harness::{diff_reports, load_scenarios, run_scenario, Tolerances};
 //!
 //! # fn main() -> Result<(), qce_harness::HarnessError> {
-//! let scenario = &Scenario::builtin()[0];
+//! let scenarios = load_scenarios(std::path::Path::new("conformance/scenarios"))?;
+//! let scenario = &scenarios[0];
 //! let golden = run_scenario(scenario)?;
 //! let fresh = run_scenario(scenario)?;
 //! let violations = diff_reports(&golden, &fresh, &Tolerances::for_scenario(scenario));

@@ -1,7 +1,6 @@
 //! `harness` — scenario conformance runner and CI regression gate.
 //!
 //! ```text
-//! harness init       [--dir conformance]            write builtin scenario specs
 //! harness list       [--dir conformance]            list scenarios
 //! harness run        [--dir conformance] [--scenario NAME]   run + print report JSON
 //! harness bless      [--dir conformance] [--scenario NAME]   regenerate golden artifacts
@@ -32,7 +31,6 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let result = match command.as_str() {
-        "init" => cmd_init(rest),
         "list" => cmd_list(rest),
         "run" => cmd_run(rest),
         "bless" => cmd_bless(rest),
@@ -61,9 +59,7 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: harness <init|list|run|bless|check|leaderboard|bench-gate> [options]
-  init        write the builtin scenario specs under --dir
-              (--tournament writes the defense-tournament set instead)
+const USAGE: &str = "usage: harness <list|run|bless|check|leaderboard|bench-gate> [options]
   list        list scenarios under --dir (channel, quant, fault/defense axes)
   run         run scenarios and print their report JSON
   bless       run scenarios and (re)write golden artifacts under --dir/golden
@@ -71,8 +67,8 @@ const USAGE: &str = "usage: harness <init|list|run|bless|check|leaderboard|bench
   leaderboard render the defense-sweep reports under --out as a markdown table
   bench-gate  diff a fresh bench record against its committed baseline
 options:
-  --dir DIR        conformance root (default: conformance)
-  --tournament     init: write the tournament scenario set instead of the builtins
+  --dir DIR        conformance root; scenarios are the JSON specs under
+                   DIR/scenarios, goldens go to DIR/golden (default: conformance)
   --scenario NAME  restrict run/bless/check to one scenario
   --out DIR        where check writes fresh report JSON (default: conformance-out);
                    where leaderboard reads report JSON from
@@ -82,7 +78,6 @@ options:
 
 struct Opts {
     dir: PathBuf,
-    tournament: bool,
     scenario: Option<String>,
     out: PathBuf,
     fresh: Option<PathBuf>,
@@ -93,7 +88,6 @@ struct Opts {
 fn parse_opts(args: &[String]) -> Result<Opts, HarnessError> {
     let mut opts = Opts {
         dir: PathBuf::from("conformance"),
-        tournament: false,
         scenario: None,
         out: PathBuf::from("conformance-out"),
         fresh: None,
@@ -109,7 +103,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, HarnessError> {
         };
         match flag.as_str() {
             "--dir" => opts.dir = PathBuf::from(value("--dir")?),
-            "--tournament" => opts.tournament = true,
             "--scenario" => opts.scenario = Some(value("--scenario")?),
             "--out" => opts.out = PathBuf::from(value("--out")?),
             "--fresh" => opts.fresh = Some(PathBuf::from(value("--fresh")?)),
@@ -143,25 +136,6 @@ fn selected_scenarios(opts: &Opts) -> Result<Vec<Scenario>, HarnessError> {
         }
     }
     Ok(scenarios)
-}
-
-fn cmd_init(args: &[String]) -> Result<ExitCode, HarnessError> {
-    let opts = parse_opts(args)?;
-    let dir = opts.dir.join("scenarios");
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| HarnessError::io(format!("creating {}", dir.display()), e))?;
-    let scenarios = if opts.tournament {
-        Scenario::tournament()
-    } else {
-        Scenario::builtin()
-    };
-    for scenario in scenarios {
-        let path = dir.join(format!("{}.json", scenario.name));
-        std::fs::write(&path, scenario.to_json() + "\n")
-            .map_err(|e| HarnessError::io(format!("writing {}", path.display()), e))?;
-        println!("wrote {}", path.display());
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_list(args: &[String]) -> Result<ExitCode, HarnessError> {

@@ -158,7 +158,10 @@ mod tests {
 
     #[test]
     fn a_defended_flow_with_arms_is_rejected_before_it_runs() {
-        let mut scenario = Scenario::tournament().remove(0);
+        let mut scenario = Scenario::from_json(include_str!(
+            "../../../conformance/tournament/scenarios/tourney_corr_2bit.json"
+        ))
+        .unwrap();
         assert!(!scenario.defenses.is_empty());
         scenario.flow.defense = Some(scenario.defenses[0].1.clone());
         let err = run_scenario(&scenario).unwrap_err();

@@ -91,211 +91,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The committed scenario set: three clean quantization points that
-    /// bracket the paper's 2–6-bit sweep across three quantizer
-    /// families, plus one faulted release exercising the resilient
-    /// decode path. All are sized to finish in seconds so CI can run
-    /// the whole set on every push.
-    #[must_use]
-    pub fn builtin() -> Vec<Scenario> {
-        let dataset = DatasetSpec {
-            kind: DatasetKind::Cifar,
-            size: 8,
-            classes: 4,
-            count: 160,
-            seed: 5,
-            rgb: false,
-        };
-        let flow = FlowConfig {
-            grouping: Grouping::Uniform(5.0),
-            band: BandRule::FirstN,
-            epochs: 2,
-            quant: None,
-            ..FlowConfig::tiny()
-        };
-        let quant = |method, bits| {
-            Some(QuantConfig {
-                method,
-                bits,
-                finetune_epochs: 1,
-                finetune_lr: 0.01,
-                regularize_finetune: true,
-            })
-        };
-        vec![
-            Scenario {
-                name: "quant2_weq".to_string(),
-                dataset: dataset.clone(),
-                flow: FlowConfig {
-                    quant: quant(QuantMethod::WeightedEntropy, 2),
-                    ..flow.clone()
-                },
-                fault: None,
-                defenses: Vec::new(),
-                tolerance_overrides: Vec::new(),
-            },
-            Scenario {
-                name: "quant4_tcq".to_string(),
-                dataset: dataset.clone(),
-                flow: FlowConfig {
-                    quant: quant(QuantMethod::TargetCorrelated, 4),
-                    ..flow.clone()
-                },
-                fault: None,
-                defenses: Vec::new(),
-                tolerance_overrides: Vec::new(),
-            },
-            Scenario {
-                name: "quant6_kmeans".to_string(),
-                dataset: dataset.clone(),
-                flow: FlowConfig {
-                    quant: quant(QuantMethod::KMeans, 6),
-                    ..flow.clone()
-                },
-                fault: None,
-                defenses: Vec::new(),
-                tolerance_overrides: Vec::new(),
-            },
-            Scenario {
-                name: "faulted_bitflip".to_string(),
-                dataset,
-                flow: FlowConfig {
-                    quant: quant(QuantMethod::TargetCorrelated, 4),
-                    ..flow
-                },
-                fault: Some(
-                    FaultPlan::new(11)
-                        .with(FaultKind::BitFlip { rate: 0.002 })
-                        .with(FaultKind::GaussianNoise { fraction: 0.02 }),
-                ),
-                defenses: Vec::new(),
-                tolerance_overrides: Vec::new(),
-            },
-        ]
-    }
-
-    /// The defense-tournament scenario set: every attack variant ×
-    /// release bit width, each swept through the same named defense
-    /// roster. Cells pin the arms race measured end to end:
-    ///
-    /// * `tourney_corr_{2,4}bit` — the paper's correlation channel with
-    ///   target-correlated quantization. High capacity, but the
-    ///   compensated channel permutation (`rotation`) scrambles the
-    ///   weight order it addresses pixels by.
-    /// * `tourney_statsign_{2,4}bit` — the hardened
-    ///   statistics-sign channel (`qce_attack::statsign`) with k-means
-    ///   quantization. A fraction of the capacity, but recovery is
-    ///   addressed by per-row headers riding the permutation-invariant
-    ///   group statistics, so `rotation` does not erase it.
-    ///
-    /// Defense roster per cell (same seeds everywhere so columns are
-    /// comparable): `none` (empty plan — the undefended baseline row of
-    /// the leaderboard), `rotation` (exact-symmetry permute),
-    /// `finetune-scrub` (1 epoch on clean data), `prune-scrub` (10%
-    /// magnitude pruning), `requantize` (defender 5-bit k-means).
-    #[must_use]
-    pub fn tournament() -> Vec<Scenario> {
-        let dataset = DatasetSpec {
-            kind: DatasetKind::Cifar,
-            size: 8,
-            classes: 4,
-            count: 160,
-            seed: 5,
-            rgb: false,
-        };
-        let roster = || {
-            vec![
-                ("none".to_string(), DefensePlan::new(0)),
-                (
-                    "rotation".to_string(),
-                    DefensePlan::new(11).with(DefenseKind::Rotation {
-                        mode: RotationMode::Permute,
-                    }),
-                ),
-                (
-                    "finetune-scrub".to_string(),
-                    DefensePlan::new(13).with(DefenseKind::FinetuneScrub {
-                        epochs: 1,
-                        lr: 0.01,
-                    }),
-                ),
-                (
-                    "prune-scrub".to_string(),
-                    DefensePlan::new(17).with(DefenseKind::PruneScrub { fraction: 0.1 }),
-                ),
-                (
-                    "requantize".to_string(),
-                    DefensePlan::new(19).with(DefenseKind::Requantize { bits: 5 }),
-                ),
-            ]
-        };
-        // Both variants share the model/data scale; they differ only in
-        // channel, quantizer family, correlation pressure and the training
-        // length the channel needs. The correlation cells need λ=8 and 4
-        // epochs for a meaningful undefended baseline (~90% of images
-        // under 20% MAPE) so the rotation knock-down is visible; statsign's
-        // carrier pull converges in ~4 epochs at λ=3e4.
-        let corr_flow = FlowConfig {
-            grouping: Grouping::Uniform(8.0),
-            band: BandRule::FirstN,
-            stage_channels: vec![12, 24],
-            epochs: 4,
-            quant: None,
-            ..FlowConfig::tiny()
-        };
-        let statsign_flow = FlowConfig {
-            channel: EncodingChannel::StatSign { lambda: 3e4 },
-            grouping: Grouping::Uniform(5.0),
-            ..corr_flow.clone()
-        };
-        let quant = |method, bits| {
-            Some(QuantConfig {
-                method,
-                bits,
-                finetune_epochs: 1,
-                finetune_lr: 0.01,
-                regularize_finetune: true,
-            })
-        };
-        let cell = |name: &str, flow: &FlowConfig, method, bits| Scenario {
-            name: name.to_string(),
-            dataset: dataset.clone(),
-            flow: FlowConfig {
-                quant: quant(method, bits),
-                ..flow.clone()
-            },
-            fault: None,
-            defenses: roster(),
-            tolerance_overrides: Vec::new(),
-        };
-        vec![
-            cell(
-                "tourney_corr_2bit",
-                &corr_flow,
-                QuantMethod::TargetCorrelated,
-                2,
-            ),
-            cell(
-                "tourney_corr_4bit",
-                &corr_flow,
-                QuantMethod::TargetCorrelated,
-                4,
-            ),
-            cell(
-                "tourney_statsign_2bit",
-                &statsign_flow,
-                QuantMethod::KMeans,
-                2,
-            ),
-            cell(
-                "tourney_statsign_4bit",
-                &statsign_flow,
-                QuantMethod::KMeans,
-                4,
-            ),
-        ]
-    }
-
     /// Parses a scenario from its JSON spec. Flow fields not present in
     /// the document keep the [`FlowConfig::tiny`] defaults.
     ///
@@ -941,12 +736,19 @@ fn parse_fault(doc: &JsonValue) -> Result<FaultPlan> {
 mod tests {
     use super::*;
 
+    /// The committed scenario specs of one set: `""` for the conformance
+    /// set, `"tournament"` for the defense tournament.
+    fn committed(set: &str) -> Vec<Scenario> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../conformance")
+            .join(set)
+            .join("scenarios");
+        crate::load_scenarios(&dir).unwrap()
+    }
+
     #[test]
     fn builtin_scenarios_round_trip_through_json() {
-        for scenario in Scenario::builtin()
-            .into_iter()
-            .chain(Scenario::tournament())
-        {
+        for scenario in committed("").into_iter().chain(committed("tournament")) {
             let json = scenario.to_json();
             let back = Scenario::from_json(&json)
                 .unwrap_or_else(|e| panic!("{}: {e}\n{json}", scenario.name));
@@ -956,7 +758,7 @@ mod tests {
 
     #[test]
     fn tournament_covers_both_variants_and_shares_the_roster() {
-        let cells = Scenario::tournament();
+        let cells = committed("tournament");
         assert_eq!(cells.len(), 4);
         let statsign = |s: &Scenario| matches!(s.flow.channel, EncodingChannel::StatSign { .. });
         assert_eq!(cells.iter().filter(|s| statsign(s)).count(), 2);
@@ -983,8 +785,8 @@ mod tests {
 
     #[test]
     fn builtin_names_are_unique_and_filesystem_safe() {
-        let mut scenarios = Scenario::builtin();
-        scenarios.extend(Scenario::tournament());
+        let mut scenarios = committed("");
+        scenarios.extend(committed("tournament"));
         let mut names: Vec<&str> = scenarios.iter().map(|s| s.name.as_str()).collect();
         names.sort_unstable();
         let before = names.len();

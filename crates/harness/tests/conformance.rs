@@ -19,7 +19,10 @@ use qce_store::{section_kind, Artifact};
 static FLOW_LOCK: Mutex<()> = Mutex::new(());
 
 fn tiny_scenario() -> Scenario {
-    let mut scenario = Scenario::builtin()[0].clone();
+    let mut scenario = Scenario::from_json(include_str!(
+        "../../../conformance/scenarios/quant2_weq.json"
+    ))
+    .unwrap();
     scenario.name = "tiny_check".to_string();
     scenario.dataset.count = 96;
     scenario.flow.epochs = 1;
@@ -259,23 +262,28 @@ fn corrupt_golden_asks_for_rebless_instead_of_panicking() {
 
 #[test]
 fn committed_scenario_specs_parse_and_match_builtins() {
-    // The committed conformance/scenarios/*.json are generated by
-    // `harness init`; they must stay in sync with `Scenario::builtin()`
-    // so `check` in CI runs exactly what the goldens were blessed from.
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../conformance/scenarios");
-    let loaded = qce_harness::load_scenarios(&dir).expect("committed scenarios parse");
-    let builtin = Scenario::builtin();
-    assert_eq!(
-        loaded.len(),
-        builtin.len(),
-        "conformance/scenarios is out of sync with Scenario::builtin()"
-    );
-    for scenario in &builtin {
-        assert!(
-            loaded.contains(scenario),
-            "committed spec for {:?} drifted from the builtin definition; \
-             re-run `harness init`",
-            scenario.name
-        );
+    // The committed JSON is the only definition of the conformance
+    // scenarios: `check` runs exactly these files against the goldens
+    // `bless` wrote beside them. Round-trip and name safety are checked
+    // by the `scenario` unit tests over the same files.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../conformance");
+    for set in [root.clone(), root.join("tournament")] {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(set.join("scenarios"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
+            .collect();
+        paths.sort();
+        assert!(!paths.is_empty(), "no specs under {}", set.display());
+        for path in paths {
+            let body = std::fs::read_to_string(&path).unwrap();
+            let scenario =
+                Scenario::from_json(&body).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            scenario.validate().unwrap();
+            let stem = path.file_stem().and_then(|s| s.to_str());
+            assert_eq!(Some(scenario.name.as_str()), stem, "{}", path.display());
+            let golden = golden_path(&set.join("golden"), &scenario.name);
+            assert!(golden.is_file(), "missing golden {}", golden.display());
+        }
     }
 }

@@ -17,8 +17,8 @@
 //! * [`Trainer`] — mini-batch training loop with an optional
 //!   [`Regularizer`] hook, which is exactly where the malicious
 //!   correlation term of the paper plugs in.
-//! * [`models`] — `ResNetLite` (the scaled-down ResNet-34 stand-in) and
-//!   `FaceNetLite` (the Inception-ResNet-v1 stand-in).
+//! * [`models`] — `ResNetLite` (the scaled-down ResNet-34 stand-in, also
+//!   the face model) and `ConvNet` (a plain CNN without skips).
 //!
 //! # Examples
 //!

@@ -159,12 +159,6 @@ impl Trace {
         s.dur_us
             .unwrap_or_else(|| self.end_us.saturating_sub(s.start_us))
     }
-
-    /// Index of the span with this id.
-    #[must_use]
-    pub fn index_of(&self, id: u64) -> Option<usize> {
-        self.spans.iter().position(|s| s.id == id)
-    }
 }
 
 #[cfg(test)]
@@ -209,7 +203,7 @@ mod tests {
         // The open span is charged up to the last observed timestamp.
         assert_eq!(t.spans[2].dur_us, None);
         assert_eq!(t.effective_dur_us(2), 40);
-        assert_eq!(t.index_of(3), Some(2));
+        assert_eq!(t.spans[2].id, 3);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 
 use std::io::{Read, Write};
 
-use qce_nn::Network;
-
 use crate::{pack, Codebook, QuantError, QuantizedNetwork, QuantizedSlot, Result};
 
 const MAGIC: &[u8; 4] = b"QCEQ";
@@ -124,26 +122,12 @@ pub fn read_deployment<R: Read>(mut reader: R) -> Result<QuantizedNetwork> {
     Ok(QuantizedNetwork::from_slots(slots, max_levels))
 }
 
-/// Convenience: deploys a quantized network to bytes, reads it back, and
-/// writes the decoded weights into `net` — the device-side "flash"
-/// operation.
-///
-/// # Errors
-///
-/// Propagates serialization and layout errors.
-pub fn flash_round_trip(qnet: &QuantizedNetwork, net: &mut Network) -> Result<Vec<u8>> {
-    let mut bytes = Vec::new();
-    write_deployment(qnet, &mut bytes)?;
-    let restored = read_deployment(bytes.as_slice())?;
-    restored.reapply(net)?;
-    Ok(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{quantize_network, LinearQuantizer};
     use qce_nn::models::ResNetLite;
+    use qce_nn::Network;
 
     fn quantized() -> (Network, QuantizedNetwork) {
         let mut net = ResNetLite::builder()
@@ -164,7 +148,12 @@ mod tests {
         // Corrupt then flash back.
         let zeros = vec![0.0f32; net.num_weights()];
         net.set_flat_weights(&zeros).unwrap();
-        let bytes = flash_round_trip(&qnet, &mut net).unwrap();
+        let mut bytes = Vec::new();
+        write_deployment(&qnet, &mut bytes).unwrap();
+        read_deployment(bytes.as_slice())
+            .unwrap()
+            .reapply(&mut net)
+            .unwrap();
         assert_eq!(net.flat_weights(), expected);
         // Deployment is much smaller than float weights.
         assert!(bytes.len() < net.num_weights() * 4 / 2);

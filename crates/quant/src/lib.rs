@@ -48,7 +48,6 @@ mod network;
 mod quantizers;
 
 pub mod deploy;
-pub mod huffman;
 pub mod pack;
 pub mod prune;
 

@@ -124,27 +124,6 @@ impl QuantizedNetwork {
         }
         original / self.compressed_bits() as f64
     }
-
-    /// Size of the weight payload in bits with per-slot Huffman coding of
-    /// the cluster indices (deep compression's third stage), including
-    /// codebook values and code lengths as overhead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates Huffman construction errors (cannot happen for slots
-    /// produced by [`quantize_network`]).
-    pub fn huffman_bits(&self) -> Result<u64> {
-        let mut total = 0u64;
-        for slot in &self.slots {
-            let freq = crate::huffman::frequencies(&slot.assignment, slot.codebook.levels());
-            let code = crate::huffman::HuffmanCode::fit(&freq)?;
-            // Coded indices + representatives (f32) + code lengths (u8).
-            total += code.coded_bits(&freq)
-                + 32 * slot.codebook.levels() as u64
-                + 8 * slot.codebook.levels() as u64;
-        }
-        Ok(total)
-    }
 }
 
 /// Builds a lossless "exact" codebook for a tensor with at most

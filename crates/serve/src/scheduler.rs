@@ -541,7 +541,10 @@ mod tests {
             id: 1000,
             priority: 0,
             work_key: 0,
-            scenario: Scenario::builtin().remove(0),
+            scenario: Scenario::from_json(include_str!(
+                "../../../conformance/scenarios/quant2_weq.json"
+            ))
+            .unwrap(),
             cancel: AtomicBool::new(false),
             core: Mutex::new(JobCore {
                 state: JobState::Done,

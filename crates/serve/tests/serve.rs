@@ -176,7 +176,12 @@ fn a_defended_job_reports_the_defended_release() {
     let (server, addr, cache_dir) = start_server("defended", 1, 0);
 
     let mut defended = scenario("defended", 4151);
-    let (_, rotation) = Scenario::tournament().remove(0).defenses.remove(1);
+    let (_, rotation) = Scenario::from_json(include_str!(
+        "../../../conformance/tournament/scenarios/tourney_corr_2bit.json"
+    ))
+    .unwrap()
+    .defenses
+    .remove(1);
     defended.flow.defense = Some(rotation);
     let (id, _) = submit_ok(&addr, &defended, "alice");
     let doc = wait_terminal(&addr, &id);

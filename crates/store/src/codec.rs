@@ -93,13 +93,6 @@ impl ByteWriter {
         self
     }
 
-    /// Appends raw bytes without a length prefix (pair with
-    /// [`ByteReader::take`]).
-    pub fn put_bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        self.buf.extend_from_slice(bytes);
-        self
-    }
-
     /// Appends a `u64` count followed by every slice element as an `f32`
     /// bit pattern.
     pub fn put_f32_slice(&mut self, vs: &[f32]) -> &mut Self {
@@ -350,7 +343,7 @@ mod tests {
 
         // A huge string length prefix must not over-allocate or panic.
         let mut w = ByteWriter::new();
-        w.put_u64(u64::MAX).put_bytes(b"abc");
+        w.put_u64(u64::MAX).put_u8(b'a');
         let bytes = w.finish();
         assert!(ByteReader::new(&bytes).str().is_err());
     }

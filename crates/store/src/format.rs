@@ -247,20 +247,6 @@ impl Artifact {
 }
 
 impl Artifact {
-    /// Reads and fully verifies an artifact file (see
-    /// [`Artifact::from_bytes`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the file cannot be read, otherwise
-    /// whatever [`Artifact::from_bytes`] reports.
-    pub fn read_file(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref();
-        let bytes = std::fs::read(path)
-            .map_err(|e| StoreError::io(format!("reading artifact {}", path.display()), e))?;
-        Artifact::from_bytes(&bytes)
-    }
-
     /// Serializes the artifact to `path`, creating parent directories as
     /// needed.
     ///
@@ -413,21 +399,20 @@ mod tests {
         let path = dir.join("nested").join("artifact.qces");
         let a = sample();
         a.write_file(&path).unwrap();
-        assert_eq!(Artifact::read_file(&path).unwrap(), a);
-        // Damaged on disk: read_file surfaces the verification error.
         let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(Artifact::from_bytes(&bytes).unwrap(), a);
+        // Damaged on disk: reading surfaces the verification error.
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            Artifact::read_file(&path),
+            Artifact::from_bytes(&bytes),
             Err(StoreError::Corrupt { .. })
         ));
-        // Missing file: a contextual Io error.
-        let missing = dir.join("missing.qces");
-        let err = Artifact::read_file(&missing).unwrap_err();
+        // A parent that is a file: a contextual Io error.
+        let blocked = path.join("child.qces");
+        let err = a.write_file(&blocked).unwrap_err();
         assert!(matches!(err, StoreError::Io { .. }));
-        assert!(err.to_string().contains("missing.qces"), "{err}");
+        assert!(err.to_string().contains("artifact.qces"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -14,12 +14,17 @@
 //!    answers from that entry without even synthesizing the dataset,
 //!    so its `store.write` delta is zero.
 //!
-//! The pool itself is a fixed set of threads that take cell positions
-//! from one shared counter. Per-cell metrics
+//! The pool itself is a fixed set of threads that take work from one
+//! shared counter, one stretch of consecutive cells with equal
+//! `(dataset, flow)` at a time. Only such cells share stage checkpoints
+//! (the checkpoint key hashes both), so one worker computes each
+//! checkpoint and the cells after it replay it: the stage-cache writes
+//! do not depend on the worker count. Per-cell metrics
 //! come only from flow reports — never from process-global telemetry
 //! counters, which concurrent cells would interleave — so results are
 //! bit-identical at any worker count.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -65,7 +70,9 @@ pub struct CellRun {
 }
 
 /// Runs `cells` across `opts.workers` threads and returns their runs in
-/// input order.
+/// input order. A worker runs each maximal stretch of consecutive cells
+/// that share `(dataset, flow)` in order, on its own; with one worker
+/// the cells run in input order.
 ///
 /// The first failing cell aborts the run: workers stop taking cells,
 /// and the error is returned. With `opts.limit`, only the first `n`
@@ -78,27 +85,32 @@ pub struct CellRun {
 /// error), verbatim.
 pub fn run_cells(cells: &[Cell], opts: &ExecOptions) -> Result<Vec<CellRun>> {
     let take = opts.limit.unwrap_or(cells.len()).min(cells.len());
+    let stretches = shared_stage_stretches(&cells[..take]);
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<CellRun>>> = Mutex::new(vec![None; take]);
     let failure: Mutex<Option<SweepError>> = Mutex::new(None);
     let abort = AtomicBool::new(false);
-    let workers = opts.workers.max(1).min(take.max(1));
+    let workers = opts.workers.max(1).min(stretches.len().max(1));
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let position = next.fetch_add(1, Ordering::SeqCst);
-                if position >= take || abort.load(Ordering::SeqCst) {
-                    break;
-                }
-                match run_cell(&cells[position], opts) {
-                    Ok(run) => {
-                        slots.lock().expect("sweep results")[position] = Some(run);
-                    }
-                    Err(e) => {
-                        abort.store(true, Ordering::SeqCst);
-                        let mut failure = failure.lock().expect("sweep failure");
-                        failure.get_or_insert(e);
+            scope.spawn(|| {
+                while let Some(stretch) = stretches.get(next.fetch_add(1, Ordering::SeqCst)) {
+                    for position in stretch.clone() {
+                        if abort.load(Ordering::SeqCst) {
+                            return;
+                        }
+                        match run_cell(&cells[position], opts) {
+                            Ok(run) => {
+                                slots.lock().expect("sweep results")[position] = Some(run);
+                            }
+                            Err(e) => {
+                                abort.store(true, Ordering::SeqCst);
+                                let mut failure = failure.lock().expect("sweep failure");
+                                failure.get_or_insert(e);
+                                return;
+                            }
+                        }
                     }
                 }
             });
@@ -116,6 +128,21 @@ pub fn run_cells(cells: &[Cell], opts: &ExecOptions) -> Result<Vec<CellRun>> {
         .collect();
     debug_assert_eq!(runs.len(), take);
     Ok(runs)
+}
+
+/// Positions of the maximal stretches of consecutive `cells` with equal
+/// `(dataset, flow)`, in order.
+fn shared_stage_stretches(cells: &[Cell]) -> Vec<Range<usize>> {
+    let mut start = 0;
+    cells
+        .chunk_by(|a, b| {
+            a.scenario.dataset == b.scenario.dataset && a.scenario.flow == b.scenario.flow
+        })
+        .map(|stretch| {
+            start += stretch.len();
+            start - stretch.len()..start
+        })
+        .collect()
 }
 
 /// Executes one cell: whole-cell cache probe, then a full flow drive.

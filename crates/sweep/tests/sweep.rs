@@ -10,13 +10,16 @@
 //! * every cell's content-addressed key is distinct — including cells
 //!   that differ only in swept-axis state living *outside* `FlowConfig`
 //!   (fault plans) or added to it this release (λ schedules), the
-//!   regression surface of stage-cache key collisions.
+//!   regression surface of stage-cache key collisions;
+//! * a cold run writes the same stage-cache entries at any worker count.
 
 use std::path::PathBuf;
+use std::process::Command;
 
 use proptest::prelude::*;
 use qce_store::StageCache;
 use qce_sweep::{merge_partials, parse_grid, partial_json, run_cells, ExecOptions, Grid};
+use qce_telemetry::json::{parse, JsonValue};
 
 /// 64 cells over five axes; 2·2 = 4 distinct trainings (λ × schedule),
 /// everything else reuses their checkpoints. The dataset is the
@@ -153,6 +156,70 @@ fn sharded_runs_merge_byte_identical_to_single_process() {
     for dir in [cache_single.dir(), cache_s0.dir(), cache_s1.dir()] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// One flow × the fault axis: four cells that share every stage
+/// checkpoint of their flow.
+const GRID_FAULTS: &str = r#"{
+  "name": "shared-stages",
+  "base": {
+    "dataset": {"kind": "cifar", "size": 8, "classes": 2, "count": 32, "seed": 5},
+    "flow": {"epochs": 1, "batch_size": 16,
+             "grouping": {"kind": "uniform", "lambda": 5},
+             "band": {"kind": "first_n"},
+             "quant": {"method": "kmeans", "bits": 4, "finetune_epochs": 0}}
+  },
+  "axes": [
+    {"axis": "fault", "values": [null,
+        {"seed": 3, "faults": [{"kind": "bit_flip", "rate": 0.002}]},
+        {"seed": 3, "faults": [{"kind": "prune", "fraction": 0.25}]},
+        {"seed": 4, "faults": [{"kind": "gaussian_noise", "fraction": 0.05}]}]}
+  ]
+}"#;
+
+/// `store_write_delta` of one cold `sweep run` of `grid` in its own
+/// process (the store counters are process-global).
+fn cold_store_writes(dir: &std::path::Path, grid: &std::path::Path, workers: usize) -> u64 {
+    let tag = format!("w{workers}");
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .arg("run")
+        .arg("--grid")
+        .arg(grid)
+        .arg("--out")
+        .arg(dir.join(format!("out-{tag}")))
+        .arg("--cache")
+        .arg(dir.join(format!("cache-{tag}")))
+        .arg("--workers")
+        .arg(workers.to_string())
+        .output()
+        .expect("spawn sweep");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stats = parse(stdout.trim()).expect("stats line");
+    stats
+        .get("store_write_delta")
+        .and_then(JsonValue::as_u64)
+        .expect("store_write_delta")
+}
+
+#[test]
+fn cold_run_writes_each_stage_entry_once_at_any_worker_count() {
+    let dir = tmp_dir("workers");
+    std::fs::create_dir_all(&dir).unwrap();
+    let grid = dir.join("grid.json");
+    std::fs::write(&grid, GRID_FAULTS).unwrap();
+    let serial = cold_store_writes(&dir, &grid, 1);
+    let parallel = cold_store_writes(&dir, &grid, 2);
+    assert!(serial > 0, "a cold run writes stage entries");
+    assert_eq!(
+        parallel, serial,
+        "two workers computed a shared stage checkpoint twice"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // Shard assignment is a pure function of cell content: for any shard

@@ -124,12 +124,6 @@ impl Pool {
         self.threads
     }
 
-    /// Whether this pool runs everything on the calling thread.
-    #[must_use]
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
-    }
-
     /// Workers that would actually run concurrently for `items` units of
     /// work: the pool width, clamped by the item count and by the 1-core
     /// inline fallback (see the module docs).
@@ -363,7 +357,7 @@ mod tests {
 
     #[test]
     fn serial_pool_is_serial() {
-        assert!(Pool::serial().is_serial());
+        assert_eq!(Pool::serial().threads(), 1);
         assert_eq!(Pool::with_threads(0).threads(), 1);
         assert_eq!(Pool::with_threads(6).threads(), 6);
     }

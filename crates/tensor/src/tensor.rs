@@ -222,13 +222,6 @@ impl Tensor {
         self.map(|x| x * alpha)
     }
 
-    /// In-place scalar multiplication.
-    pub fn scale_mut(&mut self, alpha: f32) {
-        for x in &mut self.data {
-            *x *= alpha;
-        }
-    }
-
     /// Sets every element to zero, keeping the allocation.
     pub fn fill(&mut self, value: f32) {
         for x in &mut self.data {
@@ -437,8 +430,7 @@ mod tests {
         let t = Tensor::from_slice(&[1.0, -2.0]);
         assert_eq!(t.map(f32::abs).as_slice(), &[1.0, 2.0]);
         assert_eq!(t.scale(2.0).as_slice(), &[2.0, -4.0]);
-        let mut m = t.clone();
-        m.scale_mut(-1.0);
+        let mut m = t.scale(-1.0);
         assert_eq!(m.as_slice(), &[-1.0, 2.0]);
         m.fill(0.0);
         assert_eq!(m.as_slice(), &[0.0, 0.0]);

@@ -147,33 +147,3 @@ fn quantized_model_reapply_is_stable() {
     assert_eq!(net.flat_weights(), w1);
     assert_eq!(accuracy(&mut net, &x, &y, 64).unwrap(), acc1);
 }
-
-#[test]
-fn huffman_coding_beats_fixed_width_on_weq_assignments() {
-    // Weighted-entropy quantization produces skewed cluster occupancies,
-    // so entropy coding the indices (deep compression stage 3) must beat
-    // fixed-width packing; the near-uniform linear quantizer gains little.
-    let (mut net, _, _) = trained_net();
-    let state = net.state();
-
-    let weq = quantize_network(&mut net, &WeightedEntropyQuantizer::new(16).unwrap()).unwrap();
-    let weq_fixed = weq.compressed_bits();
-    let weq_huff = weq.huffman_bits().unwrap();
-    assert!(
-        weq_huff < weq_fixed,
-        "huffman {weq_huff} should beat fixed {weq_fixed} for weq"
-    );
-
-    net.load_state(&state).unwrap();
-    let lin = quantize_network(&mut net, &LinearQuantizer::new(16).unwrap()).unwrap();
-    let lin_fixed = lin.compressed_bits();
-    let lin_huff = lin.huffman_bits().unwrap();
-    // Linear clusters are *also* skewed for bell-shaped weights, so
-    // Huffman helps there too — but the weq gain must be at least as big.
-    let weq_gain = weq_fixed as f64 / weq_huff as f64;
-    let lin_gain = lin_fixed as f64 / lin_huff as f64;
-    assert!(
-        weq_gain >= lin_gain * 0.95,
-        "weq gain {weq_gain:.3} vs linear gain {lin_gain:.3}"
-    );
-}

@@ -1,7 +1,7 @@
 //! Integration tests of the training substrate on the synthetic datasets.
 
 use qce_data::{SynthCifar, SynthFaces};
-use qce_nn::models::{FaceNetLite, ResNetLite};
+use qce_nn::models::ResNetLite;
 use qce_nn::{accuracy, LrSchedule, TrainConfig, Trainer};
 
 #[test]
@@ -34,10 +34,16 @@ fn resnet_lite_learns_synth_cifar_well_above_chance() {
 }
 
 #[test]
-fn facenet_lite_learns_synth_faces_above_chance() {
+fn resnet_lite_learns_synth_faces_above_chance() {
     let data = SynthFaces::new(16, 8).generate(320, 53).unwrap();
     let (train, test) = data.split(0.75, 2).unwrap();
-    let mut net = FaceNetLite::small(1, 16, 8, 54).unwrap();
+    let mut net = ResNetLite::builder()
+        .input(1, 16)
+        .classes(8)
+        .stage_channels(&[8, 16, 32])
+        .blocks_per_stage(1)
+        .build(54)
+        .unwrap();
     let mut trainer = Trainer::new(TrainConfig {
         epochs: 6,
         batch_size: 32,
